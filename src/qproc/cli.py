@@ -105,7 +105,9 @@ CONFIG_SCHEMA = {
 }
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """Read and validate a config; ``overrides`` replace entries of its
+    simulate block before validation, so they are checked like the file."""
     config_path = Path(path)
     if not config_path.exists():
         raise SchemaError(f"config file {path!r} does not exist")
@@ -113,6 +115,8 @@ def load_config(path: str) -> dict:
         config = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    if overrides and isinstance(config, dict) and isinstance(config.setdefault("simulate", {}), dict):
+        config["simulate"].update(overrides)
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -384,11 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.setdefault("simulate", {})["seed"] = args.seed
-        if args.shots is not None:
-            config.setdefault("simulate", {})["shots"] = args.shots
+        flags = {"seed": args.seed, "shots": args.shots} if args.command == "simulate" else {}
+        config = load_config(args.config, {key: value for key, value in flags.items() if value is not None})
         code, payload = COMMANDS[args.command](config)
         _emit(payload, args.command, config, args)
         return code

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnsupportedDimensionError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_generators, seminorm, tensor
-from .tangent import OneForm, TangentVector, canonicalize, pair
+from .qfisher import bloch_direction_grid
+from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
 CORNER_GAP = 1e-6
 CONVERGENCE_TOL = 1e-10
@@ -62,9 +63,6 @@ class ProcessFamily:
         for coeff, gen in zip(comps, self._generators):
             entries += coeff * gen.entries
         return HermitianOperator(entries)
-
-    def hamiltonian(self, theta) -> HermitianOperator:
-        return self.generator(theta)
 
     def norm(self, b) -> float:
         """Process norm of the direction: spectral spread of its generator."""
@@ -140,19 +138,9 @@ class EpsilonPairFamily(ProcessFamily):
 
 
 def _components(b) -> np.ndarray:
-    if isinstance(b, TangentVector):
-        return b.components
-    if isinstance(b, OneForm):
+    if isinstance(b, (TangentVector, OneForm)):
         return b.components
     return np.asarray(b, dtype=float).reshape(-1)
-
-
-def generator(family: ProcessFamily, b) -> HermitianOperator:
-    return family.generator(b)
-
-
-def process_norm(family: ProcessFamily, b) -> float:
-    return family.norm(b)
 
 
 def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.ndarray]:
@@ -176,6 +164,12 @@ def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.n
     if m > 1:
         weights[1:] = 0.5 * (mags[:-1] - mags[1:])
     return strings, weights
+
+
+def _adjacent_faces(canonical: CanonicalForm) -> tuple[tuple[int, ...], ...]:
+    """Faces adjacent to the target's vertex, as sign strings in the original indexing."""
+    strings, _ = cross_polytope_decomposition(canonical.canonical.components)
+    return tuple(tuple(int(s) for s in canonical.embed_signs(row)) for row in strings)
 
 
 @dataclass(frozen=True)
@@ -238,10 +232,7 @@ def _polytope_minimizer(q: np.ndarray) -> NormMinimizer:
     vec[lead_index] = 1.0 / q[lead_index]
     mags = np.abs(canonical.canonical.components)
     at_corner = bool(np.any(np.abs(mags - 1.0) > 1e-12))
-    faces = None
-    if at_corner:
-        strings, _ = cross_polytope_decomposition(canonical.canonical.components)
-        faces = tuple(tuple(int(s) for s in canonical.embed_signs(row)) for row in strings)
+    faces = _adjacent_faces(canonical) if at_corner else None
     norm = float(np.abs(vec).sum())
     return NormMinimizer(
         vector=TangentVector(vec),
@@ -353,9 +344,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     at_corner = _corner_test(family, vec, plane)
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):
-        canonical = canonicalize(OneForm(q))
-        strings, _ = cross_polytope_decomposition(canonical.canonical.components)
-        faces = tuple(tuple(int(s) for s in canonical.embed_signs(row)) for row in strings)
+        faces = _adjacent_faces(canonicalize(OneForm(q)))
     return NormMinimizer(
         vector=TangentVector(vec),
         norm=norm,
@@ -449,11 +438,7 @@ def unit_ball_mesh(family: ProcessFamily, resolution: int) -> GeometryExport:
         angles = 2 * np.pi * np.arange(resolution) / resolution
         rays = np.column_stack([np.cos(angles), np.sin(angles)])
     elif n == 3:
-        i = np.arange(resolution)
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        z = 1.0 - 2.0 * (i + 0.5) / resolution
-        radius = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
-        rays = np.column_stack([radius * np.cos(golden * i), radius * np.sin(golden * i), z])
+        rays = bloch_direction_grid(resolution)
     else:
         raise UnsupportedDimensionError(f"mesh export supports 2 or 3 parameters, not {n}")
     samples = np.array([ray / family.norm(ray) for ray in rays])

@@ -261,11 +261,20 @@ def evolve_density(rho: DensityOperator, hamiltonian: HermitianOperator) -> Dens
     return DensityOperator(out)
 
 
+def born_vector(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re tr(E_x rho) for a (n_outcomes, dim, dim) stack of elements.
+
+    The raw Born rule, with no normalization, so it also maps a state
+    derivative d rho to the outcome-probability derivatives.
+    """
+    return np.real(np.einsum("xij,ji->x", elements, rho))
+
+
 def born_probabilities(rho: DensityOperator, povm: Povm) -> dict[str, float]:
     """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
     if rho.dim != povm.dim:
         raise ArgumentError(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    probs = np.real(np.einsum("xij,ji->x", povm.stacked(), rho.entries))
+    probs = born_vector(povm.stacked(), rho.entries)
     probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
     if abs(total - 1.0) >= PROB_SUM_TOL:

@@ -17,6 +17,7 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -36,15 +37,18 @@ from .operators import (
     HermitianOperator,
     Povm,
     PureState,
+    born_probabilities,
+    born_vector,
+    evolve_density,
+    evolve_pure,
     matrix_to_pairs,
     tensor,
 )
+from .qfisher import DEFAULT_P_FLOOR, DEFAULT_STEP, MeasurementModel, classical_fisher, qubit_basis
 from .tangent import FisherMatrix, OneForm, TangentVector, canonicalize, pair
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_FLOOR = 1e-15
-DEFAULT_STEP = 1e-5
-DEFAULT_P_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -291,13 +295,7 @@ def corner_strategy(dq: OneForm) -> Protocol:
         raise ArgumentError("canonical coefficients must not increase in magnitude")
     if mags[-1] == 0.0:
         raise ArgumentError("canonical forms have no zero coefficients; canonicalize first")
-    strings, weights = cross_polytope_decomposition(comps)
-    branches = tuple(
-        _edge_branch(strings[k], weight=float(weights[k]), estimator_weight=float(weights[k]))
-        for k in range(strings.shape[0])
-        if weights[k] >= WEIGHT_FLOOR
-    )
-    return Protocol(kind="corner", branches=branches, family_dim=2 ** comps.size)
+    return corner_protocol(dq)
 
 
 def corner_protocol(dq: OneForm) -> Protocol:
@@ -484,14 +482,6 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
 # Bloch-sphere protocol.
 
 
-def _bloch_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.arccos(np.clip(direction[2], -1.0, 1.0))
-    phi = np.arctan2(direction[1], direction[0])
-    plus = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    minus = np.array([-np.sin(theta / 2), np.exp(1j * phi) * np.cos(theta / 2)])
-    return plus, minus
-
-
 def bloch_protocol(dq: OneForm) -> Protocol:
     """Single-qubit interferometry along the target rotation axis.
 
@@ -507,7 +497,7 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     if length == 0.0:
         raise ArgumentError("cannot build a protocol for the zero form")
     axis = q / length
-    plus, minus = _bloch_basis(axis)
+    plus, minus = qubit_basis(axis)
     cat = (plus + minus) / np.sqrt(2)
     icat_plus = (plus + 1j * minus) / np.sqrt(2)
     icat_minus = (plus - 1j * minus) / np.sqrt(2)
@@ -526,50 +516,50 @@ def bloch_protocol(dq: OneForm) -> Protocol:
 # Information matrices and saturation checks.
 
 
-def _branch_generators(branch: Branch, family: ProcessFamily) -> list[np.ndarray]:
-    dim = branch.fiducial.dim
-    if dim == family.dim:
-        return [gen.entries for gen in family.generators]
-    if dim == 2 * family.dim:
-        eye = np.eye(2, dtype=complex)
-        return [np.kron(eye, gen.entries) for gen in family.generators]
-    raise ArgumentError(f"branch dimension {dim} incompatible with family dimension {family.dim}")
+def _lift(op: HermitianOperator, dim: int) -> HermitianOperator:
+    """A family operator on a branch space of dimension ``dim``: the
+    operator itself, or the identity on a leading ancilla qubit tensored
+    with it."""
+    if dim == op.dim:
+        return op
+    if dim == 2 * op.dim:
+        return HermitianOperator(np.kron(np.eye(2, dtype=complex), op.entries))
+    raise ArgumentError(f"branch dimension {dim} incompatible with family dimension {op.dim}")
 
 
-def _branch_fisher(
-    branch: Branch,
-    family: ProcessFamily,
-    derivative: str,
-    step: float,
-    p_floor: float,
-) -> np.ndarray:
-    rho = branch.density_entries()
-    gens = _branch_generators(branch, family)
-    elements = branch.measurement.stacked()
-    probs = np.real(np.einsum("xij,ji->x", elements, rho))
-    if derivative == "exact":
-        derivs = []
-        for gen in gens:
-            commutator = -1j * (gen @ rho - rho @ gen)
-            derivs.append(np.real(np.einsum("xij,ji->x", elements, commutator)))
-        dp = np.stack(derivs, axis=1)
-    elif derivative == "central":
-        dp_cols = []
-        for gen in gens:
-            eigs, vecs = np.linalg.eigh(gen)
-            shifted = []
-            for s in (step, -step):
-                unitary = vecs @ (np.exp(-1j * s * eigs)[:, None] * vecs.conj().T)
-                evolved = unitary @ rho @ unitary.conj().T
-                shifted.append(np.real(np.einsum("xij,ji->x", elements, evolved)))
-            dp_cols.append((shifted[0] - shifted[1]) / (2 * step))
-        dp = np.stack(dp_cols, axis=1)
+def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndarray:
+    """Exact outcome probabilities of one branch at a parameter point,
+    ordered like the branch's POVM labels."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != family.n_params:
+        raise ArgumentError("parameter point length does not match the family")
+    hamiltonian = _lift(family.generator(theta), branch.fiducial.dim)
+    if isinstance(branch.fiducial, PureState):
+        rho = evolve_pure(branch.fiducial, hamiltonian).density()
     else:
+        rho = evolve_density(branch.fiducial, hamiltonian)
+    table = born_probabilities(rho, branch.measurement)
+    return np.array([table[label] for label in branch.measurement.labels])
+
+
+def _branch_model(
+    branch: Branch, family: ProcessFamily, derivative: str, step: float, p_floor: float
+) -> MeasurementModel:
+    """Born-rule measurement model of one branch, for :func:`classical_fisher`.
+
+    The exact model holds the unevolved Born vector and its -i[X_j, rho]
+    derivatives, so it answers at the fiducial point only.
+    """
+    if derivative == "central":
+        return MeasurementModel(partial(branch_distribution, branch, family), step=step, p_floor=p_floor)
+    if derivative != "exact":
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
-    keep = probs > p_floor
-    dkeep = dp[keep]
-    fisher = (dkeep / probs[keep, None]).T @ dkeep
-    return 0.5 * (fisher + fisher.T)
+    rho = branch.density_entries()
+    elements = branch.measurement.stacked()
+    probs = born_vector(elements, rho)
+    gens = [_lift(gen, branch.fiducial.dim).entries for gen in family.generators]
+    jac = np.stack([born_vector(elements, -1j * (gen @ rho - rho @ gen)) for gen in gens], axis=1)
+    return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac, step=step, p_floor=p_floor)
 
 
 def protocol_fisher(
@@ -593,7 +583,8 @@ def protocol_fisher(
         )
     total = np.zeros((family.n_params, family.n_params))
     for branch in protocol.branches:
-        total += branch.weight * _branch_fisher(branch, family, derivative, step, p_floor)
+        model = _branch_model(branch, family, derivative, step, p_floor)
+        total += branch.weight * classical_fisher(model, family.n_params).entries
     return FisherMatrix(0.5 * (total + total.T))
 
 

@@ -145,13 +145,12 @@ def classical_fisher(model: MeasurementModel, n_params: int) -> FisherMatrix:
         if jac.shape != (p0.size, n_params):
             raise ArgumentError(f"jacobian shape {jac.shape} != {(p0.size, n_params)}")
     else:
-        h = model.step
-        cols = []
-        for j in range(n_params):
-            shift = np.zeros(n_params)
-            shift[j] = h
-            cols.append((model.distribution(theta0 + shift) - model.distribution(theta0 - shift)) / (2 * h))
-        jac = np.column_stack(cols)
+        jac = np.column_stack(
+            [
+                (model.distribution(theta0 + shift) - model.distribution(theta0 - shift)) / (2 * model.step)
+                for shift in model.step * np.eye(n_params)
+            ]
+        )
     keep = p0 > model.p_floor
     dkeep = jac[keep]
     fisher = (dkeep / p0[keep, None]).T @ dkeep
@@ -227,30 +226,30 @@ def bloch_direction_grid(count: int) -> np.ndarray:
     return np.column_stack([radius * np.cos(angle), radius * np.sin(angle), z])
 
 
+def qubit_basis(directions: np.ndarray) -> np.ndarray:
+    """The +1 and -1 eigenvectors of n . sigma for Bloch directions n.
+
+    ``directions`` has shape (..., 3) and is taken as already unit
+    length; the result has shape (..., 2 outcomes, 2 amplitudes).
+    """
+    theta = np.arccos(np.clip(directions[..., 2], -1.0, 1.0))
+    phi = np.arctan2(directions[..., 1], directions[..., 0])
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    plus = np.stack([c, np.exp(1j * phi) * s], axis=-1)
+    minus = np.stack([-s, np.exp(1j * phi) * c], axis=-1)
+    return np.stack([plus, minus], axis=-2)
+
+
 def qubit_state(direction) -> PureState:
     """The +1 eigenstate of n . sigma for a unit Bloch direction n."""
     n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0])
-    return PureState(np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]))
-
-
-def _qubit_basis_vectors(directions: np.ndarray) -> np.ndarray:
-    """(count, 2 outcomes, 2 dim) orthonormal basis pairs for each direction."""
-    n = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    theta = np.arccos(np.clip(n[:, 2], -1.0, 1.0))
-    phi = np.arctan2(n[:, 1], n[:, 0])
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    plus = np.stack([c, np.exp(1j * phi) * s], axis=1)
-    minus = np.stack([-s, np.exp(1j * phi) * c], axis=1)
-    return np.stack([plus, minus], axis=1)
+    return PureState(qubit_basis(n / np.linalg.norm(n))[0])
 
 
 def qubit_projective_povm(direction) -> Povm:
     """Two-outcome projective measurement along a Bloch direction."""
-    basis = _qubit_basis_vectors(np.asarray(direction, dtype=float)[None, :])[0]
-    return Povm.from_basis(basis.T, ("+", "-"))
+    n = np.asarray(direction, dtype=float)
+    return Povm.from_basis(qubit_basis(n / np.linalg.norm(n)).T, ("+", "-"))
 
 
 def qubit_fisher_scan(
@@ -267,7 +266,8 @@ def qubit_fisher_scan(
     |<e|exp(-i phi Y)|psi>|^2 at phi = 0 is 2 Re[conj(<e|psi>) <e|-iY|psi>].
     """
     states = np.asarray(states, dtype=complex)
-    bases = _qubit_basis_vectors(np.asarray(directions, dtype=float))
+    directions = np.asarray(directions, dtype=float)
+    bases = qubit_basis(directions / np.linalg.norm(directions, axis=1, keepdims=True))
     d_states = (-1j * generator.entries) @ states.T  # (2, n_states)
     amp = np.einsum("dov,vs->dos", bases.conj(), states.T)
     damp = np.einsum("dov,vs->dos", bases.conj(), d_states)

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateModelError, EstimationError
 from .families import ProcessFamily
-from .operators import HermitianOperator, PureState, born_probabilities, evolve_density, evolve_pure
-from .protocols import Branch, Protocol
+from .protocols import Protocol, branch_distribution
 from .tangent import FisherMatrix, OneForm, fisher_dual
 
 LINEAR_REGIME_WARNING = 0.3
@@ -64,36 +63,32 @@ def apportion_shots(weights, total: int) -> np.ndarray:
     return counts
 
 
-def _extended_hamiltonian(branch: Branch, family: ProcessFamily, theta: np.ndarray) -> HermitianOperator:
-    base = family.hamiltonian(theta)
-    if branch.fiducial.dim == family.dim:
-        return base
-    return HermitianOperator(np.kron(np.eye(2, dtype=complex), base.entries))
+def _cell_counts(seed: int, repetition: int, branch: int, shots: int, probs: np.ndarray) -> np.ndarray:
+    """Outcome counts of one (repetition, branch) cell, drawn from its keyed stream."""
+    if shots == 0:
+        return np.zeros(probs.size, dtype=int)
+    return branch_rng(seed, repetition, branch).multinomial(shots, probs)
 
 
-def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndarray:
-    """Exact outcome probabilities of one branch at a parameter point,
-    ordered like the branch's POVM labels."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
+def _arcsine_readout(plus, shots):
+    """Per-branch MLE of the readout: arcsine of the clamped + frequency."""
+    return np.arcsin(np.clip(2.0 * (plus / shots) - 1.0, -1.0, 1.0))
+
+
+def _shot_plan(protocol: Protocol, family: ProcessFamily, theta_true, shots: int):
+    """The checked true parameter point and the per-branch shot counts;
+    warns when the point leaves the linearization regime."""
+    theta = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta.size != family.n_params:
-        raise ArgumentError("parameter point length does not match the family")
-    hamiltonian = _extended_hamiltonian(branch, family, theta)
-    if isinstance(branch.fiducial, PureState):
-        rho = evolve_pure(branch.fiducial, hamiltonian).density()
-    else:
-        rho = evolve_density(branch.fiducial, hamiltonian)
-    table = born_probabilities(rho, branch.measurement)
-    return np.array([table[label] for label in branch.measurement.labels])
-
-
-def _check_linear_regime(theta: np.ndarray):
-    worst = float(np.max(np.abs(theta))) if theta.size else 0.0
+        raise ArgumentError("theta_true length does not match the family")
+    worst = float(np.max(np.abs(theta)))
     if worst > LINEAR_REGIME_WARNING:
         warnings.warn(
             f"|theta| = {worst:.3g} rad is outside the linearization regime; "
             "bounds and estimators are derived for small deviations",
             stacklevel=3,
         )
+    return theta, apportion_shots([branch.weight for branch in protocol.branches], shots)
 
 
 def simulate(
@@ -106,20 +101,11 @@ def simulate(
 ) -> list[OutcomeRecord]:
     """One simulated run: apportion shots over branches deterministically,
     then draw each branch's counts from its exact outcome distribution."""
-    theta = np.asarray(theta_true, dtype=float).reshape(-1)
-    if theta.size != family.n_params:
-        raise ArgumentError("theta_true length does not match the family")
-    _check_linear_regime(theta)
-    weights = [branch.weight for branch in protocol.branches]
-    per_branch = apportion_shots(weights, shots)
+    theta, per_branch = _shot_plan(protocol, family, theta_true, shots)
     records = []
     for index, branch in enumerate(protocol.branches):
-        probs = branch_distribution(branch, family, theta)
         n = int(per_branch[index])
-        if n > 0:
-            counts = branch_rng(seed, repetition, index).multinomial(n, probs)
-        else:
-            counts = np.zeros(probs.size, dtype=int)
+        counts = _cell_counts(seed, repetition, index, n, branch_distribution(branch, family, theta))
         records.append(
             OutcomeRecord(
                 branch=index,
@@ -128,16 +114,6 @@ def simulate(
             )
         )
     return records
-
-
-def _branch_estimate(record: OutcomeRecord, branch: Branch) -> float:
-    if record.shots < 1:
-        raise EstimationError(f"branch {record.branch} received no shots")
-    if branch.readout_form is None or branch.estimator_weight is None:
-        raise EstimationError(f"branch {record.branch} has no readout to estimate")
-    plus = record.counts.get("+", 0)
-    frequency = plus / record.shots
-    return float(np.arcsin(np.clip(2.0 * frequency - 1.0, -1.0, 1.0)))
 
 
 def estimate_q(records: list[OutcomeRecord], protocol: Protocol) -> float:
@@ -150,10 +126,15 @@ def estimate_q(records: list[OutcomeRecord], protocol: Protocol) -> float:
     """
     if len(records) != len(protocol.branches):
         raise ArgumentError("record count does not match the protocol branches")
-    total = 0.0
     for record, branch in zip(records, protocol.branches):
-        total += branch.estimator_weight * _branch_estimate(record, branch)
-    return float(total)
+        if record.shots < 1:
+            raise EstimationError(f"branch {record.branch} received no shots")
+        if branch.readout_form is None or branch.estimator_weight is None:
+            raise EstimationError(f"branch {record.branch} has no readout to estimate")
+    plus = np.array([record.counts.get("+", 0) for record in records])
+    shots = np.array([record.shots for record in records])
+    coeffs = np.array([branch.estimator_weight for branch in protocol.branches])
+    return float(_arcsine_readout(plus, shots) @ coeffs)
 
 
 def sample_estimates(
@@ -172,15 +153,10 @@ def sample_estimates(
     and as many branches as parameters, the per-branch readouts are also
     solved for full parameter estimates (for covariance checks).
     """
-    theta = np.asarray(theta_true, dtype=float).reshape(-1)
-    if theta.size != family.n_params:
-        raise ArgumentError("theta_true length does not match the family")
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
-    _check_linear_regime(theta)
+    theta, per_branch = _shot_plan(protocol, family, theta_true, shots)
     branches = protocol.branches
-    weights = [branch.weight for branch in branches]
-    per_branch = apportion_shots(weights, shots)
     if np.any(per_branch < 1):
         raise EstimationError("a weighted branch received no shots; increase the shot budget")
     for branch in branches:
@@ -190,12 +166,11 @@ def sample_estimates(
     plus_index = [branch.measurement.labels.index("+") for branch in branches]
     coeffs = np.array([branch.estimator_weight for branch in branches])
 
-    s_hat = np.empty((repetitions, len(branches)))
+    plus = np.empty((repetitions, len(branches)), dtype=int)
     for rep in range(repetitions):
-        for b, branch in enumerate(branches):
-            counts = branch_rng(seed, rep, b).multinomial(int(per_branch[b]), distributions[b])
-            frequency = counts[plus_index[b]] / per_branch[b]
-            s_hat[rep, b] = np.arcsin(np.clip(2.0 * frequency - 1.0, -1.0, 1.0))
+        for b in range(len(branches)):
+            plus[rep, b] = _cell_counts(seed, rep, b, int(per_branch[b]), distributions[b])[plus_index[b]]
+    s_hat = _arcsine_readout(plus, per_branch)
     q_hats = s_hat @ coeffs
     if not return_parameter_estimates:
         return q_hats

@@ -190,6 +190,15 @@ class TestSimulateCommand:
         )
         assert main(["simulate", config]) == 2
 
+    @pytest.mark.parametrize("simulate_block", [None, PASSING_SIM["simulate"]])
+    def test_shots_override_validated_like_the_file(self, tmp_path, capsys, simulate_block):
+        payload = {key: value for key, value in PASSING_SIM.items() if key != "simulate"}
+        if simulate_block is not None:
+            payload["simulate"] = simulate_block
+        config = write_config(tmp_path, payload)
+        assert main(["simulate", config, "--shots", "0"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
     def test_mean_unbiased_at_fiducial(self, tmp_path):
         code, payload = run_json(tmp_path, "simulate", PASSING_SIM)
         rep = payload["report"]

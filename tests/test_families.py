@@ -12,10 +12,8 @@ from qproc import (
     UnsupportedDimensionError,
     cross_polytope_decomposition,
     dual_norm,
-    generator,
     minimize_norm,
     pair,
-    process_norm,
     seminorm,
     tensor,
     unit_ball_mesh,
@@ -33,14 +31,14 @@ def random_custom_family(rng, n_params=3, dim=4):
 class TestGenerator:
     def test_pauli_z_axis(self):
         family = PauliZFamily(2)
-        gen = generator(family, [1.0, 0.0])
+        gen = family.generator([1.0, 0.0])
         expected = tensor([HermitianOperator(0.5 * SIGMA_Z), HermitianOperator(np.eye(2))])
         assert np.allclose(gen.entries, expected.entries)
 
     def test_bloch_combination(self, rng):
         family = BlochFamily()
         b = rng.standard_normal(3)
-        gen = generator(family, b)
+        gen = family.generator(b)
         from qproc.operators import SIGMA_Y
 
         expected = 0.5 * (b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z)
@@ -49,28 +47,28 @@ class TestGenerator:
     def test_pair_family_first_axis(self):
         eps = 0.3
         family = EpsilonPairFamily(eps)
-        gen = generator(family, [1.0, 0.0])
+        gen = family.generator([1.0, 0.0])
         eye = np.eye(2)
         expected = 0.5 * (np.kron(SIGMA_Z, eye) + np.sqrt(2 * eps) * np.kron(eye, SIGMA_X))
         assert np.allclose(gen.entries, expected)
 
     def test_length_mismatch(self):
         with pytest.raises(ArgumentError):
-            generator(PauliZFamily(2), [1.0, 0.0, 0.0])
+            PauliZFamily(2).generator([1.0, 0.0, 0.0])
 
 
 class TestProcessNorm:
     def test_one_norm(self):
-        assert process_norm(PauliZFamily(3), [1.0, -1.0, 0.5]) == pytest.approx(2.5)
+        assert PauliZFamily(3).norm([1.0, -1.0, 0.5]) == pytest.approx(2.5)
 
     def test_euclidean(self):
-        assert process_norm(BlochFamily(), [3.0, 4.0, 0.0]) == pytest.approx(5.0)
+        assert BlochFamily().norm([3.0, 4.0, 0.0]) == pytest.approx(5.0)
 
     def test_commuting_limit_of_pair(self, rng):
         family = EpsilonPairFamily(0.0)
         for _ in range(20):
             b = rng.standard_normal(2)
-            assert process_norm(family, b) == pytest.approx(np.abs(b).sum(), abs=1e-12)
+            assert family.norm(b) == pytest.approx(np.abs(b).sum(), abs=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_closed_form_matches_spectral_spread_pauli(self, rng, n):

@@ -225,6 +225,19 @@ class TestZoo:
         fisher = protocol_fisher(protocol, PauliZFamily(2))
         assert np.allclose(fisher.entries, np.ones((2, 2)), atol=1e-10)
 
+    def test_branched_lift_off_the_fiducial(self):
+        # a wrong ancilla lift only shows away from theta = 0
+        family = PauliZFamily(3)
+        theta = np.array([0.4, -0.7, 0.25])
+        protocol = zoo_protocol(ZooAmplitudes(np.zeros(3)))
+        assert len(protocol.branches) == 8
+        for branch in protocol.branches:
+            assert branch.fiducial.dim == 2 * family.dim
+            s = branch.readout_form.components @ theta
+            probs = dict(zip(branch.measurement.labels, branch_distribution(branch, family, theta)))
+            assert probs["+"] == pytest.approx((1 + np.sin(s)) / 2, abs=1e-12)
+            assert probs["-"] == pytest.approx((1 - np.sin(s)) / 2, abs=1e-12)
+
     def test_vertex_choice_saturates(self):
         family = PauliZFamily(3)
         dq = OneForm([1.0, 0.6, -0.3])

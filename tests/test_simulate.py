@@ -22,6 +22,7 @@ from qproc import (
     report,
     sample_estimates,
     simulate,
+    zoo_protocol,
 )
 
 
@@ -151,6 +152,25 @@ class TestEstimateQ:
     def test_outcome_record_validates_totals(self):
         with pytest.raises(ArgumentError):
             OutcomeRecord(branch=0, counts={"+": 3, "-": 3}, shots=5)
+
+
+class TestSamplingPathsAgree:
+    @pytest.mark.parametrize(
+        "protocol, theta",
+        [
+            (corner_protocol(OneForm([1.0, -0.6, 0.2])), [0.0, 0.0, 0.0]),
+            (corner_protocol(OneForm([1.0, -0.6, 0.2])), [0.03, -0.02, 0.01]),
+            (zoo_protocol(np.full(8, 1 / 8)), [0.05, 0.02, -0.04]),
+        ],
+    )
+    def test_simulate_then_estimate_matches_batch(self, protocol, theta):
+        family = PauliZFamily(3)
+        batch = sample_estimates(protocol, family, theta, shots=600, repetitions=30, seed=5)
+        one_by_one = [
+            estimate_q(simulate(protocol, family, theta, shots=600, seed=5, repetition=r), protocol)
+            for r in range(batch.size)
+        ]
+        np.testing.assert_allclose(one_by_one, batch, rtol=1e-12, atol=0)
 
 
 class TestParameterEstimates:
