@@ -1,11 +1,13 @@
 """Command-line front end.
 
 One self-describing JSON config drives every run; flags only override
-the seed, shot count, output path, and format, so any result can be
-reproduced from a file checked into a test fixture.
+the output path and format, and for ``simulate`` the seed and shot
+count, so any result can be reproduced from a file checked into a test
+fixture.
 
 Exit codes: 0 success, 1 verification failure (a bound or saturation
-check did not hold), 2 usage or schema error.
+check did not hold), 2 usage or schema error, or a run that ran out of
+memory.
 """
 
 from __future__ import annotations
@@ -378,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("config", help="path to the JSON problem description")
-        cmd.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-        cmd.add_argument("--shots", type=int, default=None, help="override the per-run shot count")
+        if name == "simulate":
+            cmd.add_argument("--seed", type=int, default=None, help="override the simulation seed")
+            cmd.add_argument("--shots", type=int, default=None, help="override the per-run shot count")
         cmd.add_argument("--output", default=None, help="override the output path")
         cmd.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
     return parser
@@ -388,19 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        flags = {"seed": args.seed, "shots": args.shots} if args.command == "simulate" else {}
-        config = load_config(args.config, {key: value for key, value in flags.items() if value is not None})
+        overrides = {key: getattr(args, key) for key in ("seed", "shots") if getattr(args, key, None) is not None}
+        config = load_config(args.config, overrides)
         code, payload = COMMANDS[args.command](config)
         _emit(payload, args.command, config, args)
         return code
     except SchemaError as exc:
-        sys.stdout.write(json.dumps({"error": "schema", "message": str(exc)}, sort_keys=True) + "\n")
-        return 2
+        return _error("schema", str(exc))
     except QprocError as exc:
-        sys.stdout.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
-        )
-        return 2
+        return _error(type(exc).__name__, str(exc))
+    except MemoryError as exc:
+        return _error("ResourceLimitError", f"out of memory: {exc}")
+
+
+def _error(name: str, message: str) -> int:
+    sys.stdout.write(json.dumps({"error": name, "message": message}, sort_keys=True) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

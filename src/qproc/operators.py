@@ -132,51 +132,45 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure with named outcomes."""
+    """A rank-one measurement with named outcomes, stored as its basis.
 
-    elements: tuple[HermitianOperator, ...]
+    Column x of the (dim, n_outcomes) array ``basis`` is the vector v_x of
+    outcome x, whose element is v_x v_x^dag.  Every such element is
+    positive semidefinite, so the elements form a POVM exactly when they
+    sum to the identity, V V^dag = I.
+    """
+
+    basis: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        elements = tuple(self.elements)
+        basis = np.asarray(self.basis, dtype=complex)
         labels = tuple(str(label) for label in self.labels)
-        if not elements:
-            raise ArgumentError("POVM needs at least one element")
-        if len(labels) != len(elements):
-            raise ArgumentError("POVM needs one label per element")
+        if basis.ndim != 2 or basis.shape[1] < 1:
+            raise ArgumentError(f"POVM basis must be a (dim, n_outcomes) matrix, got shape {basis.shape}")
+        if len(labels) != basis.shape[1]:
+            raise ArgumentError("POVM needs one label per outcome")
         if len(set(labels)) != len(labels):
             raise ArgumentError("POVM outcome labels must be distinct")
-        dim = elements[0].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for el in elements:
-            if el.dim != dim:
-                raise ArgumentError("all POVM elements must share one dimension")
-            if np.linalg.eigvalsh(el.entries).min() < -PSD_TOL:
-                raise InvariantViolation("POVM element is not positive semidefinite")
-            total += el.entries
-        defect = np.max(np.abs(total - np.eye(dim)))
+        defect = np.max(np.abs(basis @ basis.conj().T - np.eye(basis.shape[0])))
         if defect > TRACE_TOL:
             raise InvariantViolation(f"POVM elements sum to identity only within {defect:.3e}")
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "basis", _frozen(basis))
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].dim
+        return self.basis.shape[0]
+
+    @property
+    def elements(self) -> tuple[HermitianOperator, ...]:
+        """The dense elements v_x v_x^dag, built on each access."""
+        return tuple(HermitianOperator(np.outer(v, v.conj())) for v in self.basis.T)
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray, labels) -> "Povm":
         """Projective POVM built from the columns of an orthonormal basis."""
-        vectors = np.asarray(vectors, dtype=complex)
-        elements = tuple(
-            HermitianOperator(np.outer(vectors[:, k], vectors[:, k].conj()))
-            for k in range(vectors.shape[1])
-        )
-        return cls(elements, tuple(labels))
-
-    def stacked(self) -> np.ndarray:
-        """All elements as one (n_outcomes, dim, dim) array."""
-        return np.stack([el.entries for el in self.elements])
+        return cls(vectors, tuple(labels))
 
 
 def identity(dim: int) -> HermitianOperator:
@@ -261,20 +255,20 @@ def evolve_density(rho: DensityOperator, hamiltonian: HermitianOperator) -> Dens
     return DensityOperator(out)
 
 
-def born_vector(elements: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re tr(E_x rho) for a (n_outcomes, dim, dim) stack of elements.
+def born_vector(basis: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re <v_x| rho |v_x> for the columns v_x of a (dim, n_outcomes) basis.
 
     The raw Born rule, with no normalization, so it also maps a state
     derivative d rho to the outcome-probability derivatives.
     """
-    return np.real(np.einsum("xij,ji->x", elements, rho))
+    return np.real(np.einsum("ix,ix->x", basis.conj(), rho @ basis))
 
 
 def born_probabilities(rho: DensityOperator, povm: Povm) -> dict[str, float]:
     """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
     if rho.dim != povm.dim:
         raise ArgumentError(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    probs = born_vector(povm.stacked(), rho.entries)
+    probs = born_vector(povm.basis, rho.entries)
     probs = np.clip(probs, 0.0, 1.0)
     total = probs.sum()
     if abs(total - 1.0) >= PROB_SUM_TOL:

@@ -192,6 +192,12 @@ def _basis_index(signs: np.ndarray) -> int:
     return index
 
 
+def _cat_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cat (a + b)/sqrt2 and its conjugate pair (a +/- i b)/sqrt2, as
+    the three columns of one array."""
+    return np.column_stack([a + b, a + 1j * b, a - 1j * b]) / np.sqrt(2)
+
+
 def _cat_pair_branch(
     idx_plus: int,
     idx_minus: int,
@@ -207,26 +213,14 @@ def _cat_pair_branch(
     untouched computational basis of the orthogonal complement; the extra
     outcomes never fire for this fiducial but keep the POVM complete.
     """
-    cat = np.zeros(dim, dtype=complex)
-    cat[idx_plus] = 1 / np.sqrt(2)
-    cat[idx_minus] = 1 / np.sqrt(2)
-    plus = np.zeros(dim, dtype=complex)
-    plus[idx_plus] = 1 / np.sqrt(2)
-    plus[idx_minus] = 1j / np.sqrt(2)
-    minus = np.zeros(dim, dtype=complex)
-    minus[idx_plus] = 1 / np.sqrt(2)
-    minus[idx_minus] = -1j / np.sqrt(2)
+    eye = np.eye(dim, dtype=complex)
+    columns = _cat_columns(eye[:, idx_plus], eye[:, idx_minus])
     rest = [k for k in range(dim) if k not in (idx_plus, idx_minus)]
-    basis = np.zeros((dim, dim), dtype=complex)
-    basis[:, 0] = plus
-    basis[:, 1] = minus
-    for col, k in enumerate(rest, start=2):
-        basis[k, col] = 1.0
     labels = ["+", "-"] + [f"null{k}" for k in rest]
     return Branch(
         weight=weight,
-        fiducial=PureState(cat),
-        measurement=Povm.from_basis(basis, labels),
+        fiducial=PureState(columns[:, 0]),
+        measurement=Povm.from_basis(np.column_stack([columns[:, 1:], eye[:, rest]]), labels),
         readout_form=OneForm(readout),
         estimator_weight=estimator_weight,
         sign_string=sign_string,
@@ -409,18 +403,13 @@ def _ancilla_cat_indices(signs: tuple[int, ...]) -> tuple[int, int, int]:
 def _zoo_basis(strings: list[tuple[int, ...]]) -> tuple[np.ndarray, list[str]]:
     """The shared ancilla-tagged conjugate-cat measurement basis."""
     n = len(strings[0])
-    dim = 2 ** (n + 1)
-    basis = np.zeros((dim, dim), dtype=complex)
-    labels = []
-    col = 0
+    eye = np.eye(2 ** (n + 1), dtype=complex)
+    columns, labels = [], []
     for signs in product((1, -1), repeat=n):
         idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
-        for sign, tag in ((1j, "+"), (-1j, "-")):
-            basis[idx_plus, col] = 1 / np.sqrt(2)
-            basis[idx_minus, col] = sign / np.sqrt(2)
-            labels.append(f"{SignString(signs)}:{tag}")
-            col += 1
-    return basis, labels
+        columns.append(_cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 1:])
+        labels += [f"{SignString(signs)}:+", f"{SignString(signs)}:-"]
+    return np.hstack(columns), labels
 
 
 def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched") -> Protocol:
@@ -454,8 +443,7 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
                 )
             )
         return Protocol(kind="zoo", branches=tuple(branches), family_dim=2**n)
-    basis, labels = _zoo_basis(strings)
-    povm = Povm.from_basis(basis, labels)
+    povm = Povm.from_basis(*_zoo_basis(strings))
     if variant == "pure":
         amplitudes = np.zeros(dim, dtype=complex)
         for signs, p in zip(strings, probs):
@@ -465,11 +453,10 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
         fiducial = PureState(amplitudes / np.linalg.norm(amplitudes))
     elif variant == "mixed":
         entries = np.zeros((dim, dim), dtype=complex)
+        eye = np.eye(dim, dtype=complex)
         for signs, p in zip(strings, probs):
             idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
-            vec = np.zeros(dim, dtype=complex)
-            vec[idx_plus] = 1 / np.sqrt(2)
-            vec[idx_minus] = 1 / np.sqrt(2)
+            vec = _cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 0]
             entries += p * np.outer(vec, vec.conj())
         fiducial = DensityOperator(entries)
     else:
@@ -497,15 +484,11 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     if length == 0.0:
         raise ArgumentError("cannot build a protocol for the zero form")
     axis = q / length
-    plus, minus = qubit_basis(axis)
-    cat = (plus + minus) / np.sqrt(2)
-    icat_plus = (plus + 1j * minus) / np.sqrt(2)
-    icat_minus = (plus - 1j * minus) / np.sqrt(2)
-    basis = np.column_stack([icat_plus, icat_minus])
+    columns = _cat_columns(*qubit_basis(axis))
     branch = Branch(
         weight=1.0,
-        fiducial=PureState(cat),
-        measurement=Povm.from_basis(basis, ("+", "-")),
+        fiducial=PureState(columns[:, 0]),
+        measurement=Povm.from_basis(columns[:, 1:], ("+", "-")),
         readout_form=OneForm(axis),
         estimator_weight=length,
     )
@@ -555,10 +538,10 @@ def _branch_model(
     if derivative != "exact":
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
     rho = branch.density_entries()
-    elements = branch.measurement.stacked()
-    probs = born_vector(elements, rho)
+    basis = branch.measurement.basis
+    probs = born_vector(basis, rho)
     gens = [_lift(gen, branch.fiducial.dim).entries for gen in family.generators]
-    jac = np.stack([born_vector(elements, -1j * (gen @ rho - rho @ gen)) for gen in gens], axis=1)
+    jac = np.stack([born_vector(basis, -1j * (gen @ rho - rho @ gen)) for gen in gens], axis=1)
     return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac, step=step, p_floor=p_floor)
 
 

@@ -326,18 +326,6 @@ class EstimatorReport:
             "impossible_alarm": self.impossible_alarm,
         }
 
-    def csv_row(self, protocol_name: str, dq_text: str, seed: int) -> list:
-        return [
-            protocol_name,
-            dq_text,
-            self.shots,
-            self.repetitions,
-            repr(self.empirical_variance),
-            repr(self.bound_per_shot),
-            repr(self.z_score),
-            seed,
-        ]
-
 
 def report(
     q_hat_samples,

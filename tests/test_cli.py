@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from qproc import cli
 from qproc.cli import main
+from qproc.simulate import EstimatorReport
 
 PASSING_SIM = {
     "schema_version": 1,
@@ -177,6 +180,8 @@ class TestSimulateCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("protocol,dq,shots")
         assert lines[1].startswith("corner,")
+        header, row = csv.reader(lines)
+        assert len(header) == len(row) == len(EstimatorReport.CSV_HEADER)
 
     def test_missing_simulate_block(self, tmp_path):
         config = write_config(
@@ -198,6 +203,14 @@ class TestSimulateCommand:
         config = write_config(tmp_path, payload)
         assert main(["simulate", config, "--shots", "0"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
+    @pytest.mark.parametrize("command", ["bound", "protocol", "geometry", "verify"])
+    @pytest.mark.parametrize("flag", ["--seed", "--shots"])
+    def test_simulation_flags_rejected_elsewhere(self, tmp_path, command, flag):
+        config = write_config(tmp_path, PASSING_SIM)
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, config, flag, "0"])
+        assert exit_info.value.code == 2
 
     def test_mean_unbiased_at_fiducial(self, tmp_path):
         code, payload = run_json(tmp_path, "simulate", PASSING_SIM)
@@ -357,6 +370,16 @@ class TestSchemaHandling:
             },
         )
         assert code == 0
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setitem(cli.COMMANDS, "verify", exhausted)
+        assert main(["verify", write_config(tmp_path, PASSING_SIM)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["error"] == "ResourceLimitError"
+        assert "2.00 GiB" in error["message"]
 
     def test_missing_generators_file(self, tmp_path):
         config = write_config(

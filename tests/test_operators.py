@@ -198,21 +198,79 @@ class TestBornProbabilities:
 
 class TestPovmValidation:
     def test_elements_must_sum_to_identity(self):
-        half = HermitianOperator(0.5 * np.eye(2))
         with pytest.raises(InvariantViolation):
-            Povm((half,), ("only",))
+            Povm(np.array([[1.0], [0.0]]), ("only",))
 
     def test_elements_must_be_psd(self):
-        up = HermitianOperator(np.diag([1.5, -0.5]).astype(complex))
-        down = HermitianOperator(np.diag([-0.5, 1.5]).astype(complex))
+        # every element v v^dag of a basis is PSD, so the old non-PSD pair
+        # cannot be written down; its nearest frame, whose elements sum to
+        # diag(1.5, 0.5), must fail the completeness check instead
+        frame = np.diag([np.sqrt(1.5), np.sqrt(0.5)])
         with pytest.raises(InvariantViolation):
-            Povm((up, down), ("a", "b"))
+            Povm(frame, ("a", "b"))
 
     def test_labels_unique(self):
-        p0 = HermitianOperator(np.diag([1.0, 0.0]).astype(complex))
-        p1 = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(ArgumentError):
-            Povm((p0, p1), ("x", "x"))
+            Povm(np.eye(2), ("x", "x"))
+
+
+def _trine():
+    """Three real vectors at 120 degrees in C^2: V V^dag = I, V^dag V != I."""
+    angles = 2 * np.pi * np.arange(3) / 3
+    return np.sqrt(2 / 3) * np.vstack([np.cos(angles), np.sin(angles)]).astype(complex)
+
+
+class TestBornRuleOnTheBasis:
+    """The basis contraction must match the dense sum over elements v v^dag."""
+
+    def _frames(self, rng):
+        yield _trine()
+        for dim in (2, 3, 4, 6):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            yield np.linalg.qr(raw)[0]
+
+    def test_born_probabilities_match_dense_elements(self, rng):
+        for basis in self._frames(rng):
+            rho = random_density(rng, basis.shape[0])
+            povm = Povm(basis, [str(k) for k in range(basis.shape[1])])
+            dense = [np.real(np.trace(np.outer(v, v.conj()) @ rho.entries)) for v in basis.T]
+            probs = born_probabilities(rho, povm)
+            assert np.max(np.abs(np.array([probs[label] for label in povm.labels]) - dense)) < 1e-12
+
+    def test_exact_fisher_matches_dense_elements(self, rng):
+        from qproc import Branch, ProcessFamily, Protocol, protocol_fisher
+
+        for basis in self._frames(rng):
+            dim = basis.shape[0]
+            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(3)])
+            psi = random_pure_state(rng, dim)
+            povm = Povm(basis, [str(k) for k in range(basis.shape[1])])
+            branch = Branch(weight=1.0, fiducial=psi, measurement=povm)
+            fisher = protocol_fisher(Protocol(kind="frame", branches=(branch,), family_dim=dim), family)
+            rho = psi.density().entries
+            drhos = [-1j * (g.entries @ rho - rho @ g.entries) for g in family.generators]
+            expected = np.zeros((3, 3))
+            for v in basis.T:
+                element = np.outer(v, v.conj())
+                p = np.real(np.trace(element @ rho))
+                dp = np.array([np.real(np.trace(element @ drho)) for drho in drhos])
+                expected += np.outer(dp, dp) / p
+            assert np.max(np.abs(fisher.entries - expected)) < 1e-12
+
+    def test_corner_protocol_makes_no_eigen_solves(self, monkeypatch):
+        from qproc import OneForm, corner_protocol
+
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        corner_protocol(OneForm([1.0, 0.9, 0.7, 0.5, 0.3, 0.2]))
+        assert len(calls) == 0
 
 
 class TestMatrixWireFormat:

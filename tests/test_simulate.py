@@ -263,12 +263,6 @@ class TestReport:
         summary = report(q_hats, bound_per_shot=1.0, shots=4000, fisher=fisher, covariance=covariance)
         assert summary.ccrb_psd is True
 
-    def test_csv_row_shape(self, rng):
-        samples = rng.normal(0.0, 0.01, size=100)
-        summary = report(samples, bound_per_shot=1.0, shots=10_000)
-        row = summary.csv_row("corner", "1 0.5", 42)
-        assert len(row) == len(summary.CSV_HEADER)
-
 
 class TestBoundAttainmentAcrossShotBudgets:
     @pytest.mark.parametrize("shots", [100, 1000, 10_000])
