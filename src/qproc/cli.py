@@ -190,10 +190,6 @@ def _claims_optimality(section: dict | None) -> bool:
     return section["kind"] in ("corner", "bloch", "optimal")
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _bound_payload(config: dict, family: ProcessFamily) -> dict:
     dq = OneForm(config["q"])
     result = minimize_norm(family, dq)
@@ -342,18 +338,10 @@ def _emit(payload, command: str, config: dict, args) -> None:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(EstimatorReport.CSV_HEADER)
-        rep = payload["report"]
         writer.writerow(
-            [
-                payload["protocol_kind"],
-                " ".join(_format_float(x) for x in payload["q"]),
-                rep["shots"],
-                rep["repetitions"],
-                _format_float(rep["empirical_variance"]),
-                _format_float(rep["bound_per_shot"]),
-                _format_float(rep["z_score"]),
-                payload["seed"],
-            ]
+            EstimatorReport.csv_row(
+                payload["report"], payload["protocol_kind"], payload["q"], payload["seed"]
+            )
         )
         text = buffer.getvalue()
     else:

@@ -326,6 +326,20 @@ class EstimatorReport:
             "impossible_alarm": self.impossible_alarm,
         }
 
+    @staticmethod
+    def csv_row(summary: dict, protocol_name: str, dq, seed: int) -> list:
+        """One CSV line, in CSV_HEADER order, for a serialized summary."""
+        return [
+            protocol_name,
+            " ".join(f"{x:.17g}" for x in dq),
+            summary["shots"],
+            summary["repetitions"],
+            f"{summary['empirical_variance']:.17g}",
+            f"{summary['bound_per_shot']:.17g}",
+            f"{summary['z_score']:.17g}",
+            seed,
+        ]
+
 
 def report(
     q_hat_samples,

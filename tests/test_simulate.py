@@ -263,6 +263,13 @@ class TestReport:
         summary = report(q_hats, bound_per_shot=1.0, shots=4000, fisher=fisher, covariance=covariance)
         assert summary.ccrb_psd is True
 
+    def test_csv_row_shape(self, rng):
+        samples = rng.normal(0.0, 0.01, size=100)
+        summary = report(samples, bound_per_shot=1.0, shots=10_000)
+        row = summary.csv_row(summary.to_dict(), "corner", [1.0, 0.5], 42)
+        assert len(row) == len(summary.CSV_HEADER)
+        assert row[:4] == ["corner", "1 0.5", 10_000, 100]
+
 
 class TestBoundAttainmentAcrossShotBudgets:
     @pytest.mark.parametrize("shots", [100, 1000, 10_000])
