@@ -45,7 +45,7 @@ from .protocols import (
     protocol_fisher,
     zoo_protocol,
 )
-from .simulate import EstimatorReport, report, sample_estimates
+from .simulate import STREAM_VERSION, EstimatorReport, report, sample_estimates
 from .tangent import OneForm, canonicalize, fisher_dual
 
 KISSING_TOL = 1e-8
@@ -106,6 +106,11 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Checked against its metaschema once here rather than on every
+# jsonschema.validate call, which repeats that check each time.
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """Read and validate a config; ``overrides`` replace entries of its
@@ -119,10 +124,10 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if overrides and isinstance(config, dict) and isinstance(config.setdefault("simulate", {}), dict):
         config["simulate"].update(overrides)
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"config violates the schema: {exc.message}") from exc
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise SchemaError(f"config violates the schema: {error.message}") from error
     generators_path = config["family"].get("generators_path")
     if generators_path is not None and not Path(generators_path).exists():
         raise SchemaError(f"referenced generators file {generators_path!r} does not exist")
@@ -142,7 +147,11 @@ def family_from_config(config: dict) -> ProcessFamily:
         family = EpsilonPairFamily(section.get("epsilon", 0.0))
     else:
         if "generators_path" in section:
-            nested = json.loads(Path(section["generators_path"]).read_text())
+            generators_path = section["generators_path"]
+            try:
+                nested = json.loads(Path(generators_path).read_text())
+            except ValueError as exc:
+                raise SchemaError(f"generators file {generators_path!r} is not valid JSON: {exc}") from exc
         elif "generators" in section:
             nested = section["generators"]
         else:
@@ -270,6 +279,7 @@ def cmd_simulate(config: dict) -> tuple[int, dict | EstimatorReport]:
         "protocol_kind": protocol.kind,
         "theta_true": [float(x) for x in theta],
         "seed": sim["seed"],
+        "stream": STREAM_VERSION,
         "report": summary.to_dict(),
     }
     return (0 if summary.within_tolerance else 1), payload

@@ -184,7 +184,10 @@ def matrix_to_pairs(matrix: np.ndarray) -> list:
 
 def matrix_from_pairs(nested) -> np.ndarray:
     """Inverse of :func:`matrix_to_pairs`."""
-    arr = np.asarray(nested, dtype=float)
+    try:
+        arr = np.asarray(nested, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"expected a nested array of [re, im] pairs: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise ArgumentError("expected a nested array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

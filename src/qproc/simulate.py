@@ -5,9 +5,13 @@ estimates the target by maximum likelihood per branch, applies the local
 affine bias correction, and compares the empirical variance against the
 dual-norm bound and the Cramer-Rao matrix inequality.
 
-Randomness is counter-based: every (seed, repetition, branch) triple
-keys its own Philox stream, so results are bit-identical regardless of
-evaluation order or concurrency.
+Randomness is counter-based: every (seed, branch) pair keys its own
+Philox stream, and repetition r reads the r-th multinomial draw of it.
+Results are bit-identical regardless of the order in which branches are
+drawn, and prefix-stable in the repetition index: the first r
+repetitions of a longer run are the r repetitions of a shorter one.
+``STREAM_VERSION`` names this layout and is reported with every
+simulation; version 1 keyed one stream per (seed, repetition, branch).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .protocols import Protocol, branch_distribution
 from .tangent import FisherMatrix, OneForm, fisher_dual
 
 LINEAR_REGIME_WARNING = 0.3
+STREAM_VERSION = 2
 _MASK64 = (1 << 64) - 1
 
 
@@ -42,10 +47,10 @@ class OutcomeRecord:
             raise ArgumentError("counts must be nonnegative")
 
 
-def branch_rng(seed: int, repetition: int, branch: int) -> np.random.Generator:
-    """Philox stream for one (seed, repetition, branch) cell."""
+def branch_rng(seed: int, branch: int) -> np.random.Generator:
+    """Philox stream for one (seed, branch) pair, shared by all repetitions."""
     key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
-    counter = np.array([0, 0, int(repetition) & _MASK64, int(branch) & _MASK64], dtype=np.uint64)
+    counter = np.array([0, 0, 0, int(branch) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
@@ -63,11 +68,10 @@ def apportion_shots(weights, total: int) -> np.ndarray:
     return counts
 
 
-def _cell_counts(seed: int, repetition: int, branch: int, shots: int, probs: np.ndarray) -> np.ndarray:
-    """Outcome counts of one (repetition, branch) cell, drawn from its keyed stream."""
-    if shots == 0:
-        return np.zeros(probs.size, dtype=int)
-    return branch_rng(seed, repetition, branch).multinomial(shots, probs)
+def _branch_counts(seed: int, repetitions: int, branch: int, shots: int, probs: np.ndarray) -> np.ndarray:
+    """Outcome counts of one branch in repetitions 0 .. repetitions-1, one
+    row each, drawn in sequence from the branch's keyed stream."""
+    return branch_rng(seed, branch).multinomial(shots, probs, size=repetitions)
 
 
 def _arcsine_readout(plus, shots):
@@ -100,12 +104,19 @@ def simulate(
     repetition: int = 0,
 ) -> list[OutcomeRecord]:
     """One simulated run: apportion shots over branches deterministically,
-    then draw each branch's counts from its exact outcome distribution."""
+    then draw each branch's counts from its exact outcome distribution.
+
+    Run ``repetition`` is the same draw as row ``repetition`` of
+    :func:`sample_estimates`; reaching it draws the rows before it.
+    """
+    if repetition < 0:
+        raise ArgumentError("repetition must be nonnegative")
     theta, per_branch = _shot_plan(protocol, family, theta_true, shots)
     records = []
     for index, branch in enumerate(protocol.branches):
         n = int(per_branch[index])
-        counts = _cell_counts(seed, repetition, index, n, branch_distribution(branch, family, theta))
+        probs = branch_distribution(branch, family, theta)
+        counts = _branch_counts(seed, repetition + 1, index, n, probs)[repetition]
         records.append(
             OutcomeRecord(
                 branch=index,
@@ -148,10 +159,11 @@ def sample_estimates(
 ):
     """Repeated runs of the estimator; returns the array of q estimates.
 
-    Branch outcome distributions are computed once; each repetition then
-    draws from its own keyed stream.  With ``return_parameter_estimates``
-    and as many branches as parameters, the per-branch readouts are also
-    solved for full parameter estimates (for covariance checks).
+    Branch outcome distributions are computed once; each branch then
+    draws all its repetitions in one call on its keyed stream.  With
+    ``return_parameter_estimates`` and as many branches as parameters, the
+    per-branch readouts are also solved for full parameter estimates (for
+    covariance checks).
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
@@ -167,9 +179,8 @@ def sample_estimates(
     coeffs = np.array([branch.estimator_weight for branch in branches])
 
     plus = np.empty((repetitions, len(branches)), dtype=int)
-    for rep in range(repetitions):
-        for b in range(len(branches)):
-            plus[rep, b] = _cell_counts(seed, rep, b, int(per_branch[b]), distributions[b])[plus_index[b]]
+    for b in range(len(branches)):
+        plus[:, b] = _branch_counts(seed, repetitions, b, int(per_branch[b]), distributions[b])[:, plus_index[b]]
     s_hat = _arcsine_readout(plus, per_branch)
     q_hats = s_hat @ coeffs
     if not return_parameter_estimates:

@@ -392,6 +392,22 @@ class TestSchemaHandling:
         )
         assert main(["bound", config]) == 2
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"kind": "custom-unitary", "generators": ["a"]},
+            {"kind": "custom-unitary", "generators": [[[[1, 0]], [[1, 0], [0, 0]]]]},
+            {"kind": "custom-unitary", "generators_path": "generators.txt"},
+        ],
+        ids=["non-numeric", "ragged", "non-json-file"],
+    )
+    def test_malformed_generators_exit_2(self, tmp_path, capsys, monkeypatch, family):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "generators.txt").write_text("[[[0.5, 0.0")
+        config = write_config(tmp_path, {"schema_version": 1, "family": family, "q": [1.0]})
+        assert main(["bound", config]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
 
 class TestRoundTrip:
     def test_all_artifacts_reparse(self, tmp_path):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,8 +61,8 @@ class TestDeterminism:
     def test_streams_independent_of_order(self):
         # drawing branch 1 before branch 0 reads the same keyed streams
         probs = np.array([0.5, 0.5])
-        forward = [branch_rng(3, 0, b).multinomial(100, probs).tolist() for b in (0, 1)]
-        backward = [branch_rng(3, 0, b).multinomial(100, probs).tolist() for b in (1, 0)]
+        forward = [branch_rng(3, b).multinomial(100, probs).tolist() for b in (0, 1)]
+        backward = [branch_rng(3, b).multinomial(100, probs).tolist() for b in (1, 0)]
         assert forward == backward[::-1]
 
     def test_different_seeds_differ(self):
@@ -76,6 +78,26 @@ class TestDeterminism:
         x = sample_estimates(protocol, family, [0.0, 0.0], 500, 40, seed=11)
         y = sample_estimates(protocol, family, [0.0, 0.0], 500, 40, seed=11)
         assert np.array_equal(x, y)
+
+    def test_prefix_stable_in_repetitions(self):
+        protocol = corner_protocol(OneForm([1.0, 0.5]))
+        family = PauliZFamily(2)
+        short = sample_estimates(protocol, family, [0.0, 0.0], 500, 5, seed=11)
+        long = sample_estimates(protocol, family, [0.0, 0.0], 500, 50, seed=11)
+        assert np.array_equal(short, long[:5])
+
+    def test_one_stream_per_branch(self, monkeypatch):
+        module = importlib.import_module("qproc.simulate")
+        constructed = []
+
+        def counting_rng(seed, branch):
+            constructed.append(branch)
+            return branch_rng(seed, branch)
+
+        monkeypatch.setattr(module, "branch_rng", counting_rng)
+        protocol = corner_protocol(OneForm([1.0, -0.6, 0.2]))
+        sample_estimates(protocol, PauliZFamily(3), [0.0, 0.0, 0.0], 300, 1000, seed=4)
+        assert len(constructed) <= len(protocol.branches)
 
 
 class TestSimulate:
@@ -109,6 +131,11 @@ class TestSimulate:
         protocol = hyperface_protocol([1, 1])
         with pytest.raises(ArgumentError):
             simulate(protocol, PauliZFamily(2), [0.0], shots=10, seed=0)
+
+    def test_negative_repetition_rejected(self):
+        protocol = hyperface_protocol([1, 1])
+        with pytest.raises(ArgumentError):
+            simulate(protocol, PauliZFamily(2), [0.0, 0.0], shots=10, seed=0, repetition=-1)
 
 
 class TestEstimateQ:
