@@ -386,8 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parser is a reference cycle, so one built per call is
+# left to the cyclic garbage collector and fragments the heap of a
+# process that calls main many times.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         overrides = {key: getattr(args, key) for key in ("seed", "shots") if getattr(args, key, None) is not None}
         config = load_config(args.config, overrides)
