@@ -6,8 +6,9 @@ count, so any result can be reproduced from a file checked into a test
 fixture.
 
 Exit codes: 0 success, 1 verification failure (a bound or saturation
-check did not hold), 2 usage or schema error, or a run that ran out of
-memory.
+check did not hold), 2 usage or schema error (an unreadable config or
+generators file included), or a run that ran out of memory, 3 an
+internal error.  Every error prints one JSON object, never a traceback.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         config = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read config file {path!r}: {exc}") from exc
     if overrides and isinstance(config, dict) and isinstance(config.setdefault("simulate", {}), dict):
         config["simulate"].update(overrides)
     # the error jsonschema.validate would raise
@@ -152,6 +155,8 @@ def family_from_config(config: dict) -> ProcessFamily:
                 nested = json.loads(Path(generators_path).read_text())
             except ValueError as exc:
                 raise SchemaError(f"generators file {generators_path!r} is not valid JSON: {exc}") from exc
+            except OSError as exc:
+                raise SchemaError(f"cannot read generators file {generators_path!r}: {exc}") from exc
         elif "generators" in section:
             nested = section["generators"]
         else:
@@ -406,11 +411,13 @@ def main(argv=None) -> int:
         return _error(type(exc).__name__, str(exc))
     except MemoryError as exc:
         return _error("ResourceLimitError", f"out of memory: {exc}")
+    except Exception as exc:  # last resort: a defect, reported without a traceback
+        return _error("internal", f"{type(exc).__name__}: {exc}", code=3)
 
 
-def _error(name: str, message: str) -> int:
+def _error(name: str, message: str, code: int = 2) -> int:
     sys.stdout.write(json.dumps({"error": name, "message": message}, sort_keys=True) + "\n")
-    return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnsupportedDimensionError
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_generators, seminorm, tensor
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, tensor
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
@@ -27,7 +27,12 @@ MAX_ITERATIONS = 2000
 
 
 class ProcessFamily:
-    """A parametrized unitary family given by its Hamiltonian generators."""
+    """A parametrized unitary family given by its Hamiltonian generators.
+
+    ``apply`` and ``evolve`` act on state columns, an array of shape
+    (dim, k) or, on the single-ancilla lift, (2 dim, k) with the ancilla
+    as the leading qubit.
+    """
 
     kind = "custom-unitary"
 
@@ -39,53 +44,107 @@ class ProcessFamily:
             if gen.dim != dim:
                 raise InvariantViolation("family generators must share one dimension")
         self._generators = tuple(generators)
+        # The exactly Hermitian parts: every real combination of them is
+        # exactly Hermitian, so no per-call check is needed.
+        self._stack = np.stack([0.5 * (gen.entries + gen.entries.conj().T) for gen in generators])
         if name:
             self.kind = name
 
     @property
     def n_params(self) -> int:
-        return len(self._generators)
+        return self._stack.shape[0]
 
     @property
     def dim(self) -> int:
-        return self._generators[0].dim
+        return self._stack.shape[-1]
 
     @property
     def generators(self) -> tuple[HermitianOperator, ...]:
         return self._generators
 
-    def generator(self, b) -> HermitianOperator:
-        """The change generator Y = b^j X_j for a tangent direction b."""
+    def _combination(self, b) -> np.ndarray:
+        """b^j X_j, summed in generator order."""
         comps = _components(b)
         if comps.size != self.n_params:
             raise ArgumentError(f"direction length {comps.size} != parameter count {self.n_params}")
-        entries = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, gen in zip(comps, self._generators):
-            entries += coeff * gen.entries
-        return HermitianOperator(entries)
+        entries = np.zeros(self._stack.shape[1:], dtype=self._stack.dtype)
+        for coeff, gen in zip(comps, self._stack):
+            entries += coeff * gen
+        return entries
+
+    def generator(self, b) -> HermitianOperator:
+        """The change generator Y = b^j X_j for a tangent direction b."""
+        return HermitianOperator(self._combination(b))
 
     def norm(self, b) -> float:
         """Process norm of the direction: spectral spread of its generator."""
-        return seminorm(self.generator(b))
+        eigs = np.linalg.eigvalsh(self._combination(b))
+        return float(eigs[-1] - eigs[0])
+
+    def _blocks(self, states) -> np.ndarray:
+        """State columns as (ancilla, dim, k) blocks the generators act on."""
+        states = np.asarray(states, dtype=complex)
+        if states.ndim != 2 or states.shape[0] not in (self.dim, 2 * self.dim):
+            raise ArgumentError(
+                f"state columns of shape {states.shape} fit neither the family dimension "
+                f"{self.dim} nor its single-ancilla extension"
+            )
+        return states.reshape(-1, self.dim, states.shape[1])
+
+    def apply(self, states) -> np.ndarray:
+        """X_j psi for every generator j, shape (n_params, *states.shape)."""
+        blocks = self._blocks(states)
+        out = self._stack[:, None] @ blocks[None]
+        return out.reshape((self.n_params,) + np.shape(states))
+
+    def evolve(self, theta, states) -> np.ndarray:
+        """exp(-i theta^j X_j) psi, via the eigendecomposition of the generator."""
+        blocks = self._blocks(states)
+        eigs, vecs = np.linalg.eigh(self._combination(theta))
+        out = vecs @ (np.exp(-1j * eigs)[:, None] * (vecs.conj().T @ blocks))
+        return out.reshape(np.shape(states))
 
     def describe(self) -> dict:
         return {"kind": self.kind, "n_params": self.n_params, "dim": self.dim}
 
 
 class PauliZFamily(ProcessFamily):
-    """Commuting z rotations on independent qubits; the norm is the 1-norm."""
+    """Commuting z rotations on independent qubits; the norm is the 1-norm.
+
+    The generators are held as their (n_qubits, 2^n_qubits) diagonal, so
+    ``apply`` and ``evolve`` are elementwise products; the dense
+    generators are built only on access.
+    """
 
     kind = "pauli-z"
 
     def __init__(self, n_qubits: int):
-        super().__init__(pauli_z_generators(n_qubits))
+        self._stack = pauli_z_diagonal(n_qubits)
         self.n_qubits = n_qubits
+
+    @property
+    def generators(self) -> tuple[HermitianOperator, ...]:
+        """The dense generators, built on each access."""
+        return tuple(HermitianOperator(np.diag(diag).astype(complex)) for diag in self._stack)
+
+    def generator(self, b) -> HermitianOperator:
+        return HermitianOperator(np.diag(self._combination(b)).astype(complex))
 
     def norm(self, b) -> float:
         comps = _components(b)
         if comps.size != self.n_params:
             raise ArgumentError("direction length does not match qubit count")
         return float(np.sum(np.abs(comps)))
+
+    def apply(self, states) -> np.ndarray:
+        blocks = self._blocks(states)
+        out = self._stack[:, None, :, None] * blocks[None]
+        return out.reshape((self.n_params,) + np.shape(states))
+
+    def evolve(self, theta, states) -> np.ndarray:
+        blocks = self._blocks(states)
+        phases = np.exp(-1j * self._combination(theta))
+        return (phases[:, None] * blocks).reshape(np.shape(states))
 
 
 class BlochFamily(ProcessFamily):

@@ -103,6 +103,10 @@ class PureState:
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
+    def columns(self) -> np.ndarray:
+        """The state as the single column of a (dim, 1) array."""
+        return self.amplitudes[:, None]
+
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -128,6 +132,13 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    def columns(self) -> np.ndarray:
+        """Columns psi_k with rho = sum_k psi_k psi_k^dag: the eigenvectors
+        of the positive eigenvalues, each scaled by the root of its eigenvalue."""
+        eigs, vecs = np.linalg.eigh(self.entries)
+        keep = eigs > 0.0
+        return vecs[:, keep] * np.sqrt(eigs[keep])
 
 
 @dataclass(frozen=True)
@@ -203,12 +214,12 @@ def tensor(ops: list[HermitianOperator]) -> HermitianOperator:
     return HermitianOperator(out)
 
 
-def pauli_z_generators(n_qubits: int) -> list[HermitianOperator]:
-    """Single-qubit z rotations on an n-qubit register.
+def pauli_z_diagonal(n_qubits: int) -> np.ndarray:
+    """Diagonals of the single-qubit z rotations on an n-qubit register.
 
-    Generator j is one half of the Pauli z operator acting on qubit j
-    (qubit 1 leftmost in the Kronecker ordering) and the identity on the
-    rest.  All generators commute.
+    Row j holds the diagonal of one half of the Pauli z operator acting on
+    qubit j (qubit 1 leftmost in the Kronecker ordering) and the identity
+    on the rest: +1/2 where the qubit's bit is 0, -1/2 where it is 1.
     """
     if n_qubits < 1:
         raise ArgumentError("need at least one qubit")
@@ -216,14 +227,16 @@ def pauli_z_generators(n_qubits: int) -> list[HermitianOperator]:
     cap = max_dim()
     if dim > cap:
         raise ResourceLimitError(f"dimension 2^{n_qubits} = {dim} exceeds the cap {cap}")
-    gens = []
-    for j in range(n_qubits):
-        diag = np.ones(1)
-        for k in range(n_qubits):
-            factor = np.array([1.0, -1.0]) if k == j else np.array([1.0, 1.0])
-            diag = np.kron(diag, factor)
-        gens.append(HermitianOperator(np.diag(0.5 * diag).astype(complex)))
-    return gens
+    shifts = np.arange(n_qubits - 1, -1, -1)[:, None]
+    return 0.5 - ((np.arange(dim)[None, :] >> shifts) & 1)
+
+
+def pauli_z_generators(n_qubits: int) -> list[HermitianOperator]:
+    """The dense single-qubit z rotations of :func:`pauli_z_diagonal`.
+
+    All generators commute.
+    """
+    return [HermitianOperator(np.diag(diag).astype(complex)) for diag in pauli_z_diagonal(n_qubits)]
 
 
 def seminorm(op: HermitianOperator) -> float:
@@ -247,34 +260,40 @@ def evolve_pure(state: PureState, hamiltonian: HermitianOperator) -> PureState:
     return PureState(amps)
 
 
-def evolve_density(rho: DensityOperator, hamiltonian: HermitianOperator) -> DensityOperator:
-    """Apply exp(-iH) rho exp(iH) via the eigendecomposition of H."""
-    if rho.dim != hamiltonian.dim:
-        raise ArgumentError(f"state dim {rho.dim} != operator dim {hamiltonian.dim}")
-    eigs, vecs = hamiltonian.eigh()
-    unitary = vecs @ (np.exp(-1j * eigs)[:, None] * vecs.conj().T)
-    out = unitary @ rho.entries @ unitary.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return DensityOperator(out)
+def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | None = None):
+    """Born probabilities of a state given by its columns, and their derivatives.
 
-
-def born_vector(basis: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re <v_x| rho |v_x> for the columns v_x of a (dim, n_outcomes) basis.
-
-    The raw Born rule, with no normalization, so it also maps a state
-    derivative d rho to the outcome-probability derivatives.
+    The state is rho = sum_k psi_k psi_k^dag over the columns psi_k of
+    ``columns`` (..., dim, k); the measurement vectors v_x are the columns
+    of ``basis`` (..., dim, n_outcomes).  Returns the raw, unnormalized
+    p_x = sum_k |<v_x|psi_k>|^2 with shape (..., n_outcomes).  Given the
+    column derivatives d_j psi_k as ``derivatives`` (..., n_params, dim, k),
+    also returns d_j p_x = sum_k 2 Re[conj(<v_x|psi_k>) <v_x|d_j psi_k>]
+    with shape (..., n_outcomes, n_params).  Leading axes broadcast.
     """
-    return np.real(np.einsum("ix,ix->x", basis.conj(), rho @ basis))
+    # conj(<v_x|psi>) = v_x^T conj(psi): the basis is read through a
+    # transposed view rather than a conjugated copy.
+    vt = np.swapaxes(basis, -1, -2)
+    amps = vt @ np.conj(columns)
+    probs = np.sum(amps.real**2 + amps.imag**2, axis=-1)
+    if derivatives is None:
+        return probs
+    d_amps = vt[..., None, :, :] @ np.conj(derivatives)
+    d_probs = 2.0 * np.sum(np.real(np.conj(amps[..., None, :, :]) * d_amps), axis=-1)
+    return probs, np.swapaxes(d_probs, -1, -2)
 
 
-def born_probabilities(rho: DensityOperator, povm: Povm) -> dict[str, float]:
-    """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
-    if rho.dim != povm.dim:
-        raise ArgumentError(f"state dim {rho.dim} != POVM dim {povm.dim}")
-    probs = born_vector(povm.basis, rho.entries)
-    probs = np.clip(probs, 0.0, 1.0)
+def outcome_distribution(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The Born distribution of :func:`born_rule`, checked and normalized."""
+    probs = np.clip(born_rule(basis, columns), 0.0, 1.0)
     total = probs.sum()
     if abs(total - 1.0) >= PROB_SUM_TOL:
         raise InvariantViolation(f"Born probabilities sum to {total!r}; not a distribution")
-    probs = probs / total
-    return dict(zip(povm.labels, probs.tolist()))
+    return probs / total
+
+
+def born_probabilities(state: "PureState | DensityOperator", povm: Povm) -> dict[str, float]:
+    """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
+    if state.dim != povm.dim:
+        raise ArgumentError(f"state dim {state.dim} != POVM dim {povm.dim}")
+    return dict(zip(povm.labels, outcome_distribution(povm.basis, state.columns()).tolist()))

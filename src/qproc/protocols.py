@@ -37,11 +37,9 @@ from .operators import (
     HermitianOperator,
     Povm,
     PureState,
-    born_probabilities,
-    born_vector,
-    evolve_density,
-    evolve_pure,
+    born_rule,
     matrix_to_pairs,
+    outcome_distribution,
     tensor,
 )
 from .qfisher import DEFAULT_P_FLOOR, DEFAULT_STEP, MeasurementModel, classical_fisher, qubit_basis
@@ -113,11 +111,6 @@ class Branch:
             raise ArgumentError(f"branch weight {self.weight!r} outside [0, 1]")
         if self.fiducial.dim != self.measurement.dim:
             raise ArgumentError("branch state and measurement dimensions differ")
-
-    def density_entries(self) -> np.ndarray:
-        if isinstance(self.fiducial, PureState):
-            return np.outer(self.fiducial.amplitudes, self.fiducial.amplitudes.conj())
-        return self.fiducial.entries
 
 
 @dataclass(frozen=True)
@@ -499,30 +492,14 @@ def bloch_protocol(dq: OneForm) -> Protocol:
 # Information matrices and saturation checks.
 
 
-def _lift(op: HermitianOperator, dim: int) -> HermitianOperator:
-    """A family operator on a branch space of dimension ``dim``: the
-    operator itself, or the identity on a leading ancilla qubit tensored
-    with it."""
-    if dim == op.dim:
-        return op
-    if dim == 2 * op.dim:
-        return HermitianOperator(np.kron(np.eye(2, dtype=complex), op.entries))
-    raise ArgumentError(f"branch dimension {dim} incompatible with family dimension {op.dim}")
-
-
 def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndarray:
     """Exact outcome probabilities of one branch at a parameter point,
     ordered like the branch's POVM labels."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != family.n_params:
         raise ArgumentError("parameter point length does not match the family")
-    hamiltonian = _lift(family.generator(theta), branch.fiducial.dim)
-    if isinstance(branch.fiducial, PureState):
-        rho = evolve_pure(branch.fiducial, hamiltonian).density()
-    else:
-        rho = evolve_density(branch.fiducial, hamiltonian)
-    table = born_probabilities(rho, branch.measurement)
-    return np.array([table[label] for label in branch.measurement.labels])
+    columns = family.evolve(theta, branch.fiducial.columns())
+    return outcome_distribution(branch.measurement.basis, columns)
 
 
 def _branch_model(
@@ -530,18 +507,16 @@ def _branch_model(
 ) -> MeasurementModel:
     """Born-rule measurement model of one branch, for :func:`classical_fisher`.
 
-    The exact model holds the unevolved Born vector and its -i[X_j, rho]
-    derivatives, so it answers at the fiducial point only.
+    The exact model holds the unevolved Born vector and its derivatives,
+    from the fiducial's columns psi_k and their derivatives -i X_j psi_k,
+    so it answers at the fiducial point only.
     """
     if derivative == "central":
         return MeasurementModel(partial(branch_distribution, branch, family), step=step, p_floor=p_floor)
     if derivative != "exact":
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
-    rho = branch.density_entries()
-    basis = branch.measurement.basis
-    probs = born_vector(basis, rho)
-    gens = [_lift(gen, branch.fiducial.dim).entries for gen in family.generators]
-    jac = np.stack([born_vector(basis, -1j * (gen @ rho - rho @ gen)) for gen in gens], axis=1)
+    columns = branch.fiducial.columns()
+    probs, jac = born_rule(branch.measurement.basis, columns, -1j * family.apply(columns))
     return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac, step=step, p_floor=p_floor)
 
 
@@ -557,7 +532,7 @@ def protocol_fisher(
     Per branch the Born probabilities are differentiated, then the
     branch matrices are mixed with the branch weights.  The "exact" mode
     differentiates the evolved state directly (the derivative of
-    exp(-i t X) rho exp(i t X) at t = 0 is -i[X, rho]); "central" uses
+    exp(-i t X) psi at t = 0 is -i X psi); "central" uses
     central differences with ``step`` as an independent cross-check.
     """
     if family.dim != protocol.family_dim:

@@ -24,7 +24,7 @@ from .errors import (
     InconsistentDerivativeError,
     InvariantViolation,
 )
-from .operators import DensityOperator, HermitianOperator, Povm, PureState
+from .operators import DensityOperator, HermitianOperator, Povm, PureState, born_rule
 from .tangent import FisherMatrix
 
 SLD_TRACE_TOL = 1e-10
@@ -268,13 +268,13 @@ def qubit_fisher_scan(
     states = np.asarray(states, dtype=complex)
     directions = np.asarray(directions, dtype=float)
     bases = qubit_basis(directions / np.linalg.norm(directions, axis=1, keepdims=True))
-    d_states = (-1j * generator.entries) @ states.T  # (2, n_states)
-    amp = np.einsum("dov,vs->dos", bases.conj(), states.T)
-    damp = np.einsum("dov,vs->dos", bases.conj(), d_states)
-    p = np.abs(amp) ** 2
-    dp = 2.0 * np.real(np.conj(amp) * damp)
+    # each state is a one-column fiducial, broadcast against each basis
+    columns = states[:, :, None]  # (n_states, 2, 1)
+    d_columns = ((-1j * generator.entries) @ columns)[:, None]  # (n_states, 1 param, 2, 1)
+    p, dp = born_rule(np.swapaxes(bases, -1, -2)[:, None], columns, d_columns)
+    dp = dp[..., 0]  # (n_directions, n_states, 2 outcomes)
     contrib = np.where(p > p_floor, dp**2 / np.where(p > p_floor, p, 1.0), 0.0)
-    return contrib.sum(axis=1).T  # (n_states, n_directions)
+    return contrib.sum(axis=-1).T  # (n_states, n_directions)
 
 
 def brute_force_qubit_fisher(

@@ -152,7 +152,7 @@ def _cat_icat_attained(family, b):
         hyperface_protocol([1]) if isinstance(family, PauliZFamily) else bloch_protocol(OneForm(b))
     )
     branch = protocol.branches[0]
-    rho = branch.density_entries()
+    rho = branch.fiducial.density().entries
     gen = family.generator(b)
     deriv = -1j * (gen.entries @ rho - rho @ gen.entries)
     total = 0.0

@@ -408,6 +408,29 @@ class TestSchemaHandling:
         assert main(["bound", config]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "schema"
 
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["bound", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
+    def test_generators_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "generators").mkdir()
+        family = {"kind": "custom-unitary", "generators_path": str(tmp_path / "generators")}
+        config = write_config(tmp_path, {"schema_version": 1, "family": family, "q": [1.0]})
+        assert main(["bound", config]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setitem(cli.COMMANDS, "verify", broken)
+        assert main(["verify", write_config(tmp_path, PASSING_SIM)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "internal"
+        assert error["message"] == "RuntimeError: unexpected state"
+
 
 class TestRoundTrip:
     def test_all_artifacts_reparse(self, tmp_path):

@@ -14,6 +14,7 @@ from qproc import (
     dual_norm,
     minimize_norm,
     pair,
+    pauli_z_generators,
     seminorm,
     tensor,
     unit_ball_mesh,
@@ -55,6 +56,62 @@ class TestGenerator:
     def test_length_mismatch(self):
         with pytest.raises(ArgumentError):
             PauliZFamily(2).generator([1.0, 0.0, 0.0])
+
+
+def _dense_reference(generators, ancilla):
+    """Dense generator matrices, lifted under a leading ancilla qubit."""
+    return [np.kron(np.eye(2), g.entries) if ancilla else g.entries for g in generators]
+
+
+def _dense_evolution(dense, theta):
+    """exp(-i theta^j X_j) from the eigendecomposition of the dense sum."""
+    eigs, vecs = np.linalg.eigh(sum(t * g for t, g in zip(theta, dense)))
+    return vecs @ np.diag(np.exp(-1j * eigs)) @ vecs.conj().T
+
+
+class TestArrayMethods:
+    """``apply`` and ``evolve`` against dense generators, with and without the ancilla."""
+
+    @pytest.mark.parametrize("ancilla", [False, True], ids=["family", "ancilla"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pauli_z_matches_dense(self, rng, n, ancilla):
+        family = PauliZFamily(n)
+        dense = _dense_reference(pauli_z_generators(n), ancilla)
+        dim = dense[0].shape[0]
+        states = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        applied = family.apply(states)
+        assert applied.shape == (n, dim, 3)
+        for j, gen in enumerate(dense):
+            assert np.max(np.abs(applied[j] - gen @ states)) < 1e-12
+        theta = rng.standard_normal(n)
+        assert np.max(np.abs(family.evolve(theta, states) - _dense_evolution(dense, theta) @ states)) < 1e-12
+
+    @pytest.mark.parametrize("ancilla", [False, True], ids=["family", "ancilla"])
+    def test_custom_matches_dense(self, rng, ancilla):
+        family = random_custom_family(rng)
+        dense = _dense_reference(family.generators, ancilla)
+        states = rng.standard_normal((dense[0].shape[0], 2)) + 0j
+        for j, gen in enumerate(dense):
+            assert np.max(np.abs(family.apply(states)[j] - gen @ states)) < 1e-12
+        theta = rng.standard_normal(3)
+        assert np.max(np.abs(family.evolve(theta, states) - _dense_evolution(dense, theta) @ states)) < 1e-12
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(ArgumentError):
+            PauliZFamily(2).apply(np.ones((6, 1)))
+        with pytest.raises(ArgumentError):
+            PauliZFamily(2).evolve([0.1, 0.2], np.ones(4))
+
+    def test_pauli_z_family_builds_no_dense_generator(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            PauliZFamily(10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestProcessNorm:

@@ -242,20 +242,24 @@ class TestBornRuleOnTheBasis:
 
         for basis in self._frames(rng):
             dim = basis.shape[0]
-            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(3)])
-            psi = random_pure_state(rng, dim)
             povm = Povm(basis, [str(k) for k in range(basis.shape[1])])
-            branch = Branch(weight=1.0, fiducial=psi, measurement=povm)
-            fisher = protocol_fisher(Protocol(kind="frame", branches=(branch,), family_dim=dim), family)
-            rho = psi.density().entries
-            drhos = [-1j * (g.entries @ rho - rho @ g.entries) for g in family.generators]
-            expected = np.zeros((3, 3))
-            for v in basis.T:
-                element = np.outer(v, v.conj())
-                p = np.real(np.trace(element @ rho))
-                dp = np.array([np.real(np.trace(element @ drho)) for drho in drhos])
-                expected += np.outer(dp, dp) / p
-            assert np.max(np.abs(fisher.entries - expected)) < 1e-12
+            # the family on the branch space, and on half of it under an ancilla lift
+            for family_dim in [dim] + ([dim // 2] if dim % 2 == 0 else []):
+                family = ProcessFamily([random_hermitian(rng, family_dim) for _ in range(3)])
+                gens = [np.kron(np.eye(dim // family_dim), g.entries) for g in family.generators]
+                for fiducial in (random_pure_state(rng, dim), random_density(rng, dim)):
+                    branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
+                    protocol = Protocol(kind="frame", branches=(branch,), family_dim=family_dim)
+                    fisher = protocol_fisher(protocol, family)
+                    rho = fiducial.density().entries if isinstance(fiducial, PureState) else fiducial.entries
+                    drhos = [-1j * (g @ rho - rho @ g) for g in gens]
+                    expected = np.zeros((3, 3))
+                    for v in basis.T:
+                        element = np.outer(v, v.conj())
+                        p = np.real(np.trace(element @ rho))
+                        dp = np.array([np.real(np.trace(element @ drho)) for drho in drhos])
+                        expected += np.outer(dp, dp) / p
+                    assert np.max(np.abs(fisher.entries - expected)) < 1e-12
 
     def test_corner_protocol_makes_no_eigen_solves(self, monkeypatch):
         from qproc import OneForm, corner_protocol

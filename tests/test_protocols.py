@@ -329,6 +329,24 @@ class TestBlochProtocol:
             bloch_protocol(OneForm([1.0, 0.0]))
 
 
+class TestBranchDistribution:
+    def test_pauli_z_corner_makes_no_eigen_solves(self, monkeypatch):
+        protocol = corner_protocol(OneForm([1.0, 0.6, 0.3]))
+        family = PauliZFamily(3)
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for branch in protocol.branches:
+            probs = branch_distribution(branch, family, [0.1, -0.2, 0.05])
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(calls) == 0
+
+
 class TestProtocolFisher:
     def test_theta_independent_branch_gives_zero(self):
         from qproc import Branch, Povm, Protocol, PureState
