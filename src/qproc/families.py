@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnsupportedDimensionError
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, tensor
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, pauli_z_generators, tensor
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
@@ -125,7 +125,7 @@ class PauliZFamily(ProcessFamily):
     @property
     def generators(self) -> tuple[HermitianOperator, ...]:
         """The dense generators, built on each access."""
-        return tuple(HermitianOperator(np.diag(diag).astype(complex)) for diag in self._stack)
+        return tuple(pauli_z_generators(self.n_qubits))
 
     def generator(self, b) -> HermitianOperator:
         return HermitianOperator(np.diag(self._combination(b)).astype(complex))

@@ -91,8 +91,9 @@ class TestArrayMethods:
         family = random_custom_family(rng)
         dense = _dense_reference(family.generators, ancilla)
         states = rng.standard_normal((dense[0].shape[0], 2)) + 0j
+        applied = family.apply(states)
         for j, gen in enumerate(dense):
-            assert np.max(np.abs(family.apply(states)[j] - gen @ states)) < 1e-12
+            assert np.max(np.abs(applied[j] - gen @ states)) < 1e-12
         theta = rng.standard_normal(3)
         assert np.max(np.abs(family.evolve(theta, states) - _dense_evolution(dense, theta) @ states)) < 1e-12
 
