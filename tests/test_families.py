@@ -90,7 +90,8 @@ class TestArrayMethods:
     def test_custom_matches_dense(self, rng, ancilla):
         family = random_custom_family(rng)
         dense = _dense_reference(family.generators, ancilla)
-        states = rng.standard_normal((dense[0].shape[0], 2)) + 0j
+        dim = dense[0].shape[0]
+        states = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         applied = family.apply(states)
         for j, gen in enumerate(dense):
             assert np.max(np.abs(applied[j] - gen @ states)) < 1e-12
