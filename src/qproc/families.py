@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnsupportedDimensionError
+from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnboundedVarianceError, UnsupportedDimensionError
 from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, pauli_z_generators, tensor
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
@@ -24,6 +24,7 @@ CORNER_GAP = 1e-6
 CONVERGENCE_TOL = 1e-10
 STALL_WINDOW = 50
 MAX_ITERATIONS = 2000
+UNSEEN_TOL = 1e-12
 
 
 class ProcessFamily:
@@ -365,15 +366,6 @@ def _norm_subgradient(family: ProcessFamily, b: np.ndarray) -> np.ndarray:
 def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     n = q.size
     base = q / (q @ q)
-    if n == 1:
-        vec = base
-        norm = family.norm(vec)
-        return NormMinimizer(
-            vector=TangentVector(vec),
-            norm=norm,
-            dual_norm=1.0 / norm,
-            at_corner=False,
-        )
     plane = _null_space_basis(q)
     rng = np.random.default_rng(0)
 
@@ -400,6 +392,14 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     )
     vec = np.array(tied[0])
     norm = family.norm(vec)
+    # Round-off in the generator b^j X_j is of order eps sum_j |b_j| |X_j|_F;
+    # a spread below that scale means the process cannot see the target.
+    scale = np.abs(vec) @ np.linalg.norm(family._stack.reshape(n, -1), axis=1)
+    if norm <= UNSEEN_TOL * scale:
+        raise UnboundedVarianceError(
+            f"the process norm vanishes on a direction advancing the target ({norm:.3e}); "
+            "the target is invisible to the process and its variance is unbounded"
+        )
     at_corner = _corner_test(family, vec, plane)
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):

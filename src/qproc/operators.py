@@ -72,14 +72,6 @@ class HermitianOperator:
             return float(np.real(np.vdot(state.amplitudes, self.entries @ state.amplitudes)))
         return float(np.real(np.trace(self.entries @ state.entries)))
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        if self.dim != other.dim:
-            raise ArgumentError("dimension mismatch in operator sum")
-        return HermitianOperator(self.entries + other.entries)
-
-    def __rmul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(float(scalar) * self.entries)
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -42,7 +42,9 @@ from .operators import (
     outcome_distribution,
     tensor,
 )
-from .qfisher import DEFAULT_P_FLOOR, DEFAULT_STEP, MeasurementModel, classical_fisher, qubit_basis
+# DEFAULT_P_FLOOR, the probability floor protocol_fisher applies, is
+# re-exported for callers that report it.
+from .qfisher import DEFAULT_P_FLOOR, MeasurementModel, classical_fisher, qubit_basis  # noqa: F401
 from .tangent import FisherMatrix, OneForm, TangentVector, canonicalize, pair
 
 WEIGHT_SUM_TOL = 1e-12
@@ -135,13 +137,6 @@ class Protocol:
                     f"{self.family_dim} nor its single-ancilla extension"
                 )
 
-    @property
-    def n_params(self) -> int:
-        for branch in self.branches:
-            if branch.readout_form is not None:
-                return len(branch.readout_form)
-        raise ArgumentError("protocol carries no readout forms")
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -161,9 +156,10 @@ def _branch_to_dict(branch: Branch) -> dict:
     return {
         "weight": float(branch.weight),
         "fiducial": fiducial,
+        # row x of "vectors" holds v_x; outcome labels[x] has element v_x v_x^dag
         "measurement": {
             "labels": list(branch.measurement.labels),
-            "elements": [matrix_to_pairs(el.entries) for el in branch.measurement.elements],
+            "vectors": matrix_to_pairs(branch.measurement.basis.T),
         },
         "readout_form": None
         if branch.readout_form is None
@@ -502,9 +498,7 @@ def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndar
     return outcome_distribution(branch.measurement.basis, columns)
 
 
-def _branch_model(
-    branch: Branch, family: ProcessFamily, derivative: str, step: float, p_floor: float
-) -> MeasurementModel:
+def _branch_model(branch: Branch, family: ProcessFamily, derivative: str) -> MeasurementModel:
     """Born-rule measurement model of one branch, for :func:`classical_fisher`.
 
     The exact model holds the unevolved Born vector and its derivatives,
@@ -512,28 +506,23 @@ def _branch_model(
     so it answers at the fiducial point only.
     """
     if derivative == "central":
-        return MeasurementModel(partial(branch_distribution, branch, family), step=step, p_floor=p_floor)
+        return MeasurementModel(partial(branch_distribution, branch, family))
     if derivative != "exact":
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
     columns = branch.fiducial.columns()
     probs, jac = born_rule(branch.measurement.basis, columns, -1j * family.apply(columns))
-    return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac, step=step, p_floor=p_floor)
+    return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac)
 
 
-def protocol_fisher(
-    protocol: Protocol,
-    family: ProcessFamily,
-    derivative: str = "exact",
-    step: float = DEFAULT_STEP,
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> FisherMatrix:
+def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str = "exact") -> FisherMatrix:
     """Information matrix of a protocol at the fiducial point.
 
     Per branch the Born probabilities are differentiated, then the
     branch matrices are mixed with the branch weights.  The "exact" mode
     differentiates the evolved state directly (the derivative of
     exp(-i t X) psi at t = 0 is -i X psi); "central" uses
-    central differences with ``step`` as an independent cross-check.
+    central differences with ``DEFAULT_STEP`` as an independent
+    cross-check.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
     """
     if family.dim != protocol.family_dim:
         raise ArgumentError(
@@ -541,7 +530,7 @@ def protocol_fisher(
         )
     total = np.zeros((family.n_params, family.n_params))
     for branch in protocol.branches:
-        model = _branch_model(branch, family, derivative, step, p_floor)
+        model = _branch_model(branch, family, derivative)
         total += branch.weight * classical_fisher(model, family.n_params).entries
     return FisherMatrix(0.5 * (total + total.T))
 

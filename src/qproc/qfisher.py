@@ -240,12 +240,6 @@ def qubit_basis(directions: np.ndarray) -> np.ndarray:
     return np.stack([plus, minus], axis=-2)
 
 
-def qubit_state(direction) -> PureState:
-    """The +1 eigenstate of n . sigma for a unit Bloch direction n."""
-    n = np.asarray(direction, dtype=float)
-    return PureState(qubit_basis(n / np.linalg.norm(n))[0])
-
-
 def qubit_projective_povm(direction) -> Povm:
     """Two-outcome projective measurement along a Bloch direction."""
     n = np.asarray(direction, dtype=float)

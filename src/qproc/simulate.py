@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ArgumentError, DegenerateModelError, EstimationError
 from .families import ProcessFamily
 from .protocols import Protocol, branch_distribution
-from .tangent import FisherMatrix, OneForm, fisher_dual
+from .tangent import DEFAULT_RANK_TOL, FisherMatrix, OneForm, fisher_dual
 
 LINEAR_REGIME_WARNING = 0.3
 STREAM_VERSION = 2
@@ -390,7 +390,7 @@ def report(
         covariance = np.asarray(covariance, dtype=float)
         if covariance.shape != fisher.entries.shape:
             raise ArgumentError("empirical covariance shape must match the Fisher matrix")
-        limit = np.linalg.pinv(fisher.entries, rcond=fisher.rank_tolerance, hermitian=True) / shots
+        limit = np.linalg.pinv(fisher.entries, rcond=DEFAULT_RANK_TOL, hermitian=True) / shots
         gap = covariance - limit
         slack = 3.0 * np.sqrt(2.0 / (reps - 1)) * float(np.max(np.diag(covariance)))
         ccrb_min = float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min())

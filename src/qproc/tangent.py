@@ -63,11 +63,10 @@ class FisherMatrix:
 
     Degenerate (rank-deficient) matrices are allowed; operations that
     need an inverse use a spectral pseudo-inverse with relative cutoff
-    ``rank_tolerance`` times the largest eigenvalue.
+    ``DEFAULT_RANK_TOL`` times the largest eigenvalue.
     """
 
     entries: np.ndarray
-    rank_tolerance: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -111,11 +110,11 @@ def _pseudo_solve(fisher: FisherMatrix, form: np.ndarray) -> tuple[np.ndarray, f
     """
     eigs, vecs = np.linalg.eigh(fisher.entries)
     top = max(float(eigs[-1]), 0.0)
-    cutoff = fisher.rank_tolerance * top
+    cutoff = DEFAULT_RANK_TOL * top
     keep = eigs > cutoff
     coeffs = vecs.T @ form
     null_part = float(np.linalg.norm(coeffs[~keep]))
-    if null_part >= fisher.rank_tolerance * np.linalg.norm(form):
+    if null_part >= DEFAULT_RANK_TOL * np.linalg.norm(form):
         raise UnboundedVarianceError(
             "form has a component in the null space of the Fisher matrix; "
             "the marginalized variance is unbounded"
@@ -183,10 +182,6 @@ class CanonicalForm:
             raise InvariantViolation("canonical coefficients must descend in magnitude and stay nonzero")
         if self.scale <= 0 or self.sign not in (1, -1):
             raise InvariantViolation("scale must be positive and sign must be +/-1")
-
-    @property
-    def variance_scale(self) -> float:
-        return self.scale**2
 
     def restore(self, canonical_components) -> np.ndarray:
         """Map components in canonical slots back to the original indexing."""

@@ -371,6 +371,16 @@ class TestSchemaHandling:
         )
         assert code == 0
 
+    def test_invisible_target_exits_2(self, tmp_path, capsys):
+        half_z = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+        config = {
+            "schema_version": 1,
+            "family": {"kind": "custom-unitary", "generators": [half_z, half_z]},
+            "q": [1.0, -1.0],
+        }
+        assert main(["bound", write_config(tmp_path, config)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "UnboundedVarianceError"
+
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
             raise MemoryError("Unable to allocate 2.00 GiB")

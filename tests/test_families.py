@@ -9,6 +9,7 @@ from qproc import (
     OneForm,
     PauliZFamily,
     ProcessFamily,
+    UnboundedVarianceError,
     UnsupportedDimensionError,
     cross_polytope_decomposition,
     dual_norm,
@@ -203,6 +204,17 @@ class TestMinimizeNorm:
             b2 = other if free == 0 else t
             values = np.abs(b1) + np.sqrt(b2**2 + 2 * eps * b1**2)
             assert result.norm == pytest.approx(values.min(), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_target_the_process_cannot_see(self, seed):
+        # On a diagonal qubit family the norm is |b . delta| with
+        # delta_j = d_j1 - d_j2, so the plane q . b = 1 crosses its zero set
+        # unless q is parallel to delta; seed 2 lands on an exact zero.
+        rng = np.random.default_rng(seed)
+        diagonals = rng.standard_normal((3, 2))
+        family = ProcessFamily([HermitianOperator(np.diag(d).astype(complex)) for d in diagonals])
+        with pytest.raises(UnboundedVarianceError):
+            minimize_norm(family, OneForm(rng.standard_normal(3)))
 
     def test_custom_family_matches_scan(self, rng):
         family = random_custom_family(rng, n_params=2, dim=4)

@@ -1,12 +1,20 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qproc import (
     ArgumentError,
     BlochFamily,
+    Branch,
+    DensityOperator,
     EpsilonPairFamily,
     OneForm,
     PauliZFamily,
+    Povm,
+    Protocol,
+    PureState,
     SignString,
     TangentVector,
     UnsupportedProtocolError,
@@ -18,6 +26,7 @@ from qproc import (
     hyperedge_protocol,
     hyperface_protocol,
     kissing_residual,
+    matrix_from_pairs,
     minimize_norm,
     mixture,
     optimal_protocol,
@@ -27,7 +36,23 @@ from qproc import (
     zoo_protocol,
 )
 
+from qproc.cli import family_from_config, protocol_from_config
+
 from conftest import random_traceless_hermitian
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _printed_protocols():
+    """(case, output) for each golden `protocol` case that prints a protocol, not an error."""
+    for case in json.loads((GOLDEN / "cases.json").read_text()):
+        if case["argv"][0] == "protocol":
+            out = json.loads((GOLDEN / f"{case['name']}.out").read_text())
+            if "protocol" in out:
+                yield case, out
+
+
+PROTOCOL_GOLDENS = list(_printed_protocols())
 
 
 class TestSignString:
@@ -516,8 +541,52 @@ class TestSerialization:
         assert branch["fiducial"]["type"] == "pure"
         amp = np.array(branch["fiducial"]["amplitudes"])
         assert amp.shape == (4, 2)
+        measurement = branch["measurement"]
+        assert set(measurement) == {"labels", "vectors"}
+        # one row of dim [re, im] pairs per outcome
+        assert np.array(measurement["vectors"]).shape == (len(measurement["labels"]), 4, 2)
 
     def test_mixed_fiducial_serializes(self):
         protocol = zoo_protocol(ZooAmplitudes(np.array([0.5, 0.5])), variant="mixed")
         payload = protocol.to_dict()
         assert payload["branches"][0]["fiducial"]["type"] == "mixed"
+
+
+def _branch_from_dict(data: dict) -> Branch:
+    """Rebuild a branch from the protocol JSON; the wire format's reader
+    lives here, next to the check that it loses nothing."""
+    fiducial = data["fiducial"]
+    if fiducial["type"] == "pure":
+        state = PureState(matrix_from_pairs([fiducial["amplitudes"]])[0])
+    else:
+        state = DensityOperator(matrix_from_pairs(fiducial["entries"]))
+    measurement = data["measurement"]
+    return Branch(
+        weight=data["weight"],
+        fiducial=state,
+        measurement=Povm(matrix_from_pairs(measurement["vectors"]).T, measurement["labels"]),
+        readout_form=None if data["readout_form"] is None else OneForm(data["readout_form"]),
+        estimator_weight=data["estimator_weight"],
+        sign_string=None if data["sign_string"] is None else SignString.parse(data["sign_string"]),
+    )
+
+
+def _protocol_from_dict(data: dict) -> Protocol:
+    branches = tuple(_branch_from_dict(branch) for branch in data["branches"])
+    return Protocol(kind=data["kind"], branches=branches, family_dim=data["family_dim"])
+
+
+class TestWireRoundTrip:
+    @pytest.mark.parametrize(
+        "case, golden", PROTOCOL_GOLDENS, ids=[case["name"] for case, _ in PROTOCOL_GOLDENS]
+    )
+    def test_golden_protocol_round_trips(self, case, golden):
+        family = family_from_config(case["config"])
+        rebuilt = _protocol_from_dict(golden["protocol"])
+        assert protocol_fisher(rebuilt, family).entries.tolist() == golden["fisher"]
+        in_memory = protocol_from_config(case["config"], family)
+        assert len(rebuilt.branches) == len(in_memory.branches)
+        for mine, theirs in zip(rebuilt.branches, in_memory.branches):
+            assert mine.measurement.labels == theirs.measurement.labels
+            for v, element in zip(mine.measurement.basis.T, theirs.measurement.elements, strict=True):
+                assert np.array_equal(np.outer(v, v.conj()), element.entries)
