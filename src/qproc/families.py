@@ -392,8 +392,8 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     )
     vec = np.array(tied[0])
     norm = family.norm(vec)
-    # Round-off in the generator b^j X_j is of order eps sum_j |b_j| |X_j|_F;
-    # a spread below that scale means the process cannot see the target.
+    # The spread of b^j X_j is exact only to round-off on the scale
+    # sum_j |b_j| |X_j|_F; a spread below UNSEEN_TOL of it is a zero norm.
     scale = np.abs(vec) @ np.linalg.norm(family._stack.reshape(n, -1), axis=1)
     if norm <= UNSEEN_TOL * scale:
         raise UnboundedVarianceError(
