@@ -140,7 +140,9 @@ class Povm:
     Column x of the (dim, n_outcomes) array ``basis`` is the vector v_x of
     outcome x, whose element is v_x v_x^dag.  Every such element is
     positive semidefinite, so the elements form a POVM exactly when they
-    sum to the identity, V V^dag = I.
+    sum to the identity, V V^dag = I.  A label after the last column
+    names a complement outcome with element I - V V^dag; the columns must
+    then be orthonormal, V^dag V = I, which makes that element a projector.
     """
 
     basis: np.ndarray
@@ -151,11 +153,12 @@ class Povm:
         labels = tuple(str(label) for label in self.labels)
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ArgumentError(f"POVM basis must be a (dim, n_outcomes) matrix, got shape {basis.shape}")
-        if len(labels) != basis.shape[1]:
-            raise ArgumentError("POVM needs one label per outcome")
+        if len(labels) - basis.shape[1] not in (0, 1):
+            raise ArgumentError("POVM needs one label per outcome, plus at most one for the complement")
         if len(set(labels)) != len(labels):
             raise ArgumentError("POVM outcome labels must be distinct")
-        defect = np.max(np.abs(basis @ basis.conj().T - np.eye(basis.shape[0])))
+        gram = basis.conj().T @ basis if len(labels) > basis.shape[1] else basis @ basis.conj().T
+        defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
         if defect > TRACE_TOL:
             raise InvariantViolation(f"POVM elements sum to identity only within {defect:.3e}")
         object.__setattr__(self, "basis", _frozen(basis))
@@ -167,8 +170,28 @@ class Povm:
 
     @property
     def elements(self) -> tuple[HermitianOperator, ...]:
-        """The dense elements v_x v_x^dag, built on each access."""
-        return tuple(HermitianOperator(np.outer(v, v.conj())) for v in self.basis.T)
+        """The dense elements v_x v_x^dag, then any complement, built on each access."""
+        dense = [np.outer(v, v.conj()) for v in self.basis.T]
+        if len(self.labels) > len(dense):
+            dense.append(np.eye(self.dim) - self.basis @ self.basis.conj().T)
+        return tuple(HermitianOperator(entries) for entries in dense)
+
+    def born(self, columns: np.ndarray, derivatives: np.ndarray | None = None):
+        """:func:`born_rule` over every outcome, the complement last.
+
+        The complement's probability and derivatives come from the
+        residuals r_k = psi_k - V V^dag psi_k: p = sum_k |r_k|^2 and
+        d_j p = sum_k 2 Re<r_k|d_j psi_k>.
+        """
+        out = born_rule(self.basis, columns, derivatives)
+        if len(self.labels) == self.basis.shape[1]:
+            return out
+        residual = columns - self.basis @ (self.basis.conj().T @ columns)
+        rest = np.sum(residual.real**2 + residual.imag**2)
+        if derivatives is None:
+            return np.append(out, rest)
+        d_rest = 2.0 * np.sum(np.real(np.conj(residual) * derivatives), axis=(-2, -1))
+        return np.append(out[0], rest), np.vstack([out[1], d_rest])
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray, labels) -> "Povm":
@@ -275,9 +298,9 @@ def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | 
     return probs, np.swapaxes(d_probs, -1, -2)
 
 
-def outcome_distribution(basis: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """The Born distribution of :func:`born_rule`, checked and normalized."""
-    probs = np.clip(born_rule(basis, columns), 0.0, 1.0)
+def outcome_distribution(povm: Povm, columns: np.ndarray) -> np.ndarray:
+    """The Born distribution of :meth:`Povm.born`, checked and normalized."""
+    probs = np.clip(povm.born(columns), 0.0, 1.0)
     total = probs.sum()
     if abs(total - 1.0) >= PROB_SUM_TOL:
         raise InvariantViolation(f"Born probabilities sum to {total!r}; not a distribution")
@@ -288,4 +311,4 @@ def born_probabilities(state: "PureState | DensityOperator", povm: Povm) -> dict
     """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
     if state.dim != povm.dim:
         raise ArgumentError(f"state dim {state.dim} != POVM dim {povm.dim}")
-    return dict(zip(povm.labels, outcome_distribution(povm.basis, state.columns()).tolist()))
+    return dict(zip(povm.labels, outcome_distribution(povm, state.columns()).tolist()))

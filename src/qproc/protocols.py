@@ -37,7 +37,6 @@ from .operators import (
     HermitianOperator,
     Povm,
     PureState,
-    born_rule,
     matrix_to_pairs,
     outcome_distribution,
     tensor,
@@ -156,7 +155,8 @@ def _branch_to_dict(branch: Branch) -> dict:
     return {
         "weight": float(branch.weight),
         "fiducial": fiducial,
-        # row x of "vectors" holds v_x; outcome labels[x] has element v_x v_x^dag
+        # row x of "vectors" holds v_x; outcome labels[x] has element v_x v_x^dag,
+        # and a label after the last row names the complement I - sum_x v_x v_x^dag
         "measurement": {
             "labels": list(branch.measurement.labels),
             "vectors": matrix_to_pairs(branch.measurement.basis.T),
@@ -198,18 +198,16 @@ def _cat_pair_branch(
 ) -> Branch:
     """Branch preparing (|a> + |b>)/sqrt2 and reading the conjugate pair.
 
-    The measurement basis holds the two conjugate superpositions plus the
-    untouched computational basis of the orthogonal complement; the extra
-    outcomes never fire for this fiducial but keep the POVM complete.
+    The complement outcome "null" never fires for this fiducial but
+    keeps the POVM complete.
     """
-    eye = np.eye(dim, dtype=complex)
-    columns = _cat_columns(eye[:, idx_plus], eye[:, idx_minus])
-    rest = [k for k in range(dim) if k not in (idx_plus, idx_minus)]
-    labels = ["+", "-"] + [f"null{k}" for k in rest]
+    a, b = np.zeros((2, dim))
+    a[idx_plus] = b[idx_minus] = 1.0
+    columns = _cat_columns(a, b)
     return Branch(
         weight=weight,
         fiducial=PureState(columns[:, 0]),
-        measurement=Povm.from_basis(np.column_stack([columns[:, 1:], eye[:, rest]]), labels),
+        measurement=Povm.from_basis(columns[:, 1:], ("+", "-", "null")),
         readout_form=OneForm(readout),
         estimator_weight=estimator_weight,
         sign_string=sign_string,
@@ -495,7 +493,7 @@ def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndar
     if theta.size != family.n_params:
         raise ArgumentError("parameter point length does not match the family")
     columns = family.evolve(theta, branch.fiducial.columns())
-    return outcome_distribution(branch.measurement.basis, columns)
+    return outcome_distribution(branch.measurement, columns)
 
 
 def _branch_model(branch: Branch, family: ProcessFamily, derivative: str) -> MeasurementModel:
@@ -510,7 +508,7 @@ def _branch_model(branch: Branch, family: ProcessFamily, derivative: str) -> Mea
     if derivative != "exact":
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
     columns = branch.fiducial.columns()
-    probs, jac = born_rule(branch.measurement.basis, columns, -1j * family.apply(columns))
+    probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
     return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac)
 
 

@@ -543,8 +543,10 @@ class TestSerialization:
         assert amp.shape == (4, 2)
         measurement = branch["measurement"]
         assert set(measurement) == {"labels", "vectors"}
-        # one row of dim [re, im] pairs per outcome
-        assert np.array(measurement["vectors"]).shape == (len(measurement["labels"]), 4, 2)
+        # one row of dim [re, im] pairs per outcome; the trailing label
+        # without a row names the complement outcome
+        assert measurement["labels"] == ["+", "-", "null"]
+        assert np.array(measurement["vectors"]).shape == (2, 4, 2)
 
     def test_mixed_fiducial_serializes(self):
         protocol = zoo_protocol(ZooAmplitudes(np.array([0.5, 0.5])), variant="mixed")
@@ -588,5 +590,12 @@ class TestWireRoundTrip:
         assert len(rebuilt.branches) == len(in_memory.branches)
         for mine, theirs in zip(rebuilt.branches, in_memory.branches):
             assert mine.measurement.labels == theirs.measurement.labels
-            for v, element in zip(mine.measurement.basis.T, theirs.measurement.elements, strict=True):
-                assert np.array_equal(np.outer(v, v.conj()), element.entries)
+            dense = [np.outer(v, v.conj()) for v in mine.measurement.basis.T]
+            elements = theirs.measurement.elements
+            assert len(elements) == len(mine.measurement.labels)
+            for entries, element in zip(dense, elements):
+                assert np.array_equal(entries, element.entries)
+            if len(elements) > len(dense):
+                # a trailing label without a vector is the complement I - sum_x v_x v_x^dag
+                complement = np.eye(mine.measurement.dim) - sum(dense)
+                assert np.allclose(elements[-1].entries, complement, rtol=0.0, atol=1e-15)
