@@ -277,6 +277,53 @@ class TestBornRuleOnTheBasis:
         assert len(calls) == 0
 
 
+class TestComplementOutcome:
+    """A label after the last column names the outcome I - V V^dag."""
+
+    def _isometry(self, rng, dim, k):
+        raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        return np.linalg.qr(raw)[0]
+
+    def test_columns_must_be_orthonormal(self):
+        # the trine is a frame (V V^dag = I) but not an isometry
+        with pytest.raises(InvariantViolation):
+            Povm(_trine(), ("0", "1", "2", "rest"))
+
+    def test_at_most_one_complement(self):
+        with pytest.raises(ArgumentError):
+            Povm(np.eye(3)[:, :1], ("a", "b", "c"))
+
+    def test_elements_end_with_the_complement(self, rng):
+        basis = self._isometry(rng, 5, 2)
+        elements = Povm(basis, ("a", "b", "rest")).elements
+        assert len(elements) == 3
+        assert np.allclose(elements[-1].entries, np.eye(5) - basis @ basis.conj().T, atol=1e-15)
+        assert np.allclose(sum(e.entries for e in elements), np.eye(5), atol=1e-14)
+
+    def test_born_and_fisher_match_dense_elements(self, rng):
+        from qproc import Branch, ProcessFamily, Protocol, protocol_fisher
+
+        for dim, k in ((2, 1), (4, 2), (6, 3)):
+            basis = self._isometry(rng, dim, k)
+            povm = Povm(basis, [str(x) for x in range(k)] + ["rest"])
+            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(3)])
+            gens = [g.entries for g in family.generators]
+            for fiducial in (random_pure_state(rng, dim), random_density(rng, dim)):
+                rho = fiducial.density().entries if isinstance(fiducial, PureState) else fiducial.entries
+                dense = [np.outer(v, v.conj()) for v in basis.T] + [np.eye(dim) - basis @ basis.conj().T]
+                expected_p = np.array([np.real(np.trace(e @ rho)) for e in dense])
+                probs = born_probabilities(fiducial, povm)
+                assert np.max(np.abs(np.array([probs[label] for label in povm.labels]) - expected_p)) < 1e-12
+                drhos = [-1j * (g @ rho - rho @ g) for g in gens]
+                expected = np.zeros((3, 3))
+                for element, p in zip(dense, expected_p):
+                    dp = np.array([np.real(np.trace(element @ drho)) for drho in drhos])
+                    expected += np.outer(dp, dp) / p
+                branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
+                fisher = protocol_fisher(Protocol(kind="frame", branches=(branch,), family_dim=dim), family)
+                assert np.max(np.abs(fisher.entries - expected)) < 1e-10
+
+
 class TestMatrixWireFormat:
     def test_round_trip(self, rng):
         matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -372,6 +372,47 @@ class TestBranchDistribution:
         assert len(calls) == 0
 
 
+class TestCatBranches:
+    """Cat branches hold the two conjugate columns and one complement outcome."""
+
+    def test_two_columns_and_a_complement(self):
+        protocols = (
+            corner_protocol(OneForm([1.0, 0.6, 0.0, -0.3])),
+            hyperedge_protocol([1, 0, -1]),
+            zoo_protocol(ZooAmplitudes(np.array([0.8, -0.3]))),
+        )
+        for protocol in protocols:
+            for branch in protocol.branches:
+                assert branch.measurement.basis.shape == (branch.fiducial.dim, 2)
+                assert branch.measurement.labels == ("+", "-", "null")
+
+    def test_complement_fires_where_the_state_leaks(self):
+        # off the fiducial point the pair family rotates the state out of
+        # the cat span, and the complement takes the rest of the weight
+        family = EpsilonPairFamily(0.7)
+        branch = optimal_protocol(family, OneForm([0.2, -1.0])).branches[0]
+        theta = np.array([0.3, -0.2])
+        psi = family.evolve(theta, branch.fiducial.columns())[:, 0]
+        probs = branch_distribution(branch, family, theta)
+        dense = [np.real(np.vdot(psi, e.entries @ psi)) for e in branch.measurement.elements]
+        assert probs[-1] > 1e-3
+        assert np.max(np.abs(probs - dense)) < 1e-12
+
+    def test_ten_qubit_corner_fisher_in_little_memory(self):
+        import tracemalloc
+
+        family = PauliZFamily(10)
+        dq = OneForm(np.linspace(1.0, 0.2, 10))
+        tracemalloc.start()
+        try:
+            fisher = protocol_fisher(corner_protocol(dq), family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert kissing_residual(fisher, minimize_norm(family, dq).vector, family, dq) <= 1e-12
+
+
 class TestProtocolFisher:
     def test_theta_independent_branch_gives_zero(self):
         from qproc import Branch, Povm, Protocol, PureState
