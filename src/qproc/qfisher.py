@@ -109,14 +109,11 @@ class MeasurementModel:
     ``probabilities`` maps a parameter vector to the outcome
     distribution.  When ``jacobian`` is supplied it must return the
     (n_outcomes, n_params) array of derivatives; otherwise central
-    differences with ``step`` are used.
+    differences with ``DEFAULT_STEP`` are used.
     """
 
     probabilities: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    fiducial: np.ndarray | None = None
-    step: float = DEFAULT_STEP
-    p_floor: float = DEFAULT_P_FLOOR
 
     def distribution(self, theta: np.ndarray) -> np.ndarray:
         probs = np.asarray(self.probabilities(theta), dtype=float).reshape(-1)
@@ -130,15 +127,13 @@ class MeasurementModel:
 
 
 def classical_fisher(model: MeasurementModel, n_params: int) -> FisherMatrix:
-    """Fisher matrix sum_x (d_j p)(d_k p)/p at the fiducial point.
+    """Fisher matrix sum_x (d_j p)(d_k p)/p at the fiducial point theta = 0.
 
-    Outcomes below ``p_floor`` are excluded: for the smooth models in
-    scope a vanishing probability at an interior point forces a
+    Outcomes below ``DEFAULT_P_FLOOR`` are excluded: for the smooth models
+    in scope a vanishing probability at an interior point forces a
     vanishing derivative, so those outcomes carry no information.
     """
-    theta0 = np.zeros(n_params) if model.fiducial is None else np.asarray(model.fiducial, dtype=float)
-    if theta0.size != n_params:
-        raise ArgumentError("fiducial point length does not match parameter count")
+    theta0 = np.zeros(n_params)
     p0 = model.distribution(theta0)
     if model.jacobian is not None:
         jac = np.asarray(model.jacobian(theta0), dtype=float)
@@ -147,18 +142,18 @@ def classical_fisher(model: MeasurementModel, n_params: int) -> FisherMatrix:
     else:
         jac = np.column_stack(
             [
-                (model.distribution(theta0 + shift) - model.distribution(theta0 - shift)) / (2 * model.step)
-                for shift in model.step * np.eye(n_params)
+                (model.distribution(theta0 + shift) - model.distribution(theta0 - shift)) / (2 * DEFAULT_STEP)
+                for shift in DEFAULT_STEP * np.eye(n_params)
             ]
         )
-    keep = p0 > model.p_floor
+    keep = p0 > DEFAULT_P_FLOOR
     dkeep = jac[keep]
     fisher = (dkeep / p0[keep, None]).T @ dkeep
     fisher = 0.5 * (fisher + fisher.T)
     return FisherMatrix(fisher)
 
 
-def sinusoid_model(form, p_floor: float = DEFAULT_P_FLOOR) -> MeasurementModel:
+def sinusoid_model(form) -> MeasurementModel:
     """Two-outcome model p(+/-) = (1 +/- sin(form . theta))/2 with analytic derivatives."""
     coeffs = np.asarray(form, dtype=float).reshape(-1)
 
@@ -171,7 +166,7 @@ def sinusoid_model(form, p_floor: float = DEFAULT_P_FLOOR) -> MeasurementModel:
         row = 0.5 * np.cos(s) * coeffs
         return np.vstack([row, -row])
 
-    return MeasurementModel(probabilities=probs, jacobian=jac, fiducial=np.zeros(coeffs.size), p_floor=p_floor)
+    return MeasurementModel(probabilities=probs, jacobian=jac)
 
 
 @dataclass(frozen=True)
@@ -246,12 +241,7 @@ def qubit_projective_povm(direction) -> Povm:
     return Povm.from_basis(qubit_basis(n / np.linalg.norm(n)).T, ("+", "-"))
 
 
-def qubit_fisher_scan(
-    states: np.ndarray,
-    generator: HermitianOperator,
-    directions: np.ndarray,
-    p_floor: float = DEFAULT_P_FLOOR,
-) -> np.ndarray:
+def qubit_fisher_scan(states: np.ndarray, generator: HermitianOperator, directions: np.ndarray) -> np.ndarray:
     """Scalar classical Fisher at the fiducial point for every
     (state, projective measurement) pair on a single qubit.
 
@@ -267,7 +257,7 @@ def qubit_fisher_scan(
     d_columns = ((-1j * generator.entries) @ columns)[:, None]  # (n_states, 1 param, 2, 1)
     p, dp = born_rule(np.swapaxes(bases, -1, -2)[:, None], columns, d_columns)
     dp = dp[..., 0]  # (n_directions, n_states, 2 outcomes)
-    contrib = np.where(p > p_floor, dp**2 / np.where(p > p_floor, p, 1.0), 0.0)
+    contrib = np.where(p > DEFAULT_P_FLOOR, dp**2 / np.where(p > DEFAULT_P_FLOOR, p, 1.0), 0.0)
     return contrib.sum(axis=-1).T  # (n_states, n_directions)
 
 
