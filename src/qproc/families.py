@@ -25,6 +25,8 @@ CONVERGENCE_TOL = 1e-10
 STALL_WINDOW = 50
 MAX_ITERATIONS = 2000
 UNSEEN_TOL = 1e-12
+# the largest dual norm whose square, the variance bound, is a finite float
+MAX_DUAL_NORM = float(np.sqrt(np.finfo(float).max))
 
 
 class ProcessFamily:
@@ -249,8 +251,12 @@ class NormMinimizer:
     adjacent_faces: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if abs(self.dual_norm * self.norm - 1.0) > 1e-10:
+        if not abs(self.dual_norm * self.norm - 1.0) <= 1e-10:
             raise InvariantViolation("dual norm must invert the minimal norm")
+        if not self.dual_norm < MAX_DUAL_NORM:
+            raise ArgumentError(
+                f"the variance bound {self.dual_norm:.3e}^2 overflows a float; rescale the target or the generators"
+            )
 
 
 def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
@@ -314,9 +320,26 @@ def dual_norm(family: ProcessFamily, dq: OneForm) -> float:
 # Numerical minimization over the constraint plane.
 
 
-def _null_space_basis(q: np.ndarray) -> np.ndarray:
-    _, _, vt = np.linalg.svd(q[None, :])
-    return vt[1:].T
+def _visible_plane(family: ProcessFamily, q: np.ndarray) -> np.ndarray:
+    """Orthonormal directions of the plane q.b = 1 that the process can see.
+
+    Along the null space U of the stacked traceless generators, b^j X_j
+    gains only a multiple of the identity and its spread does not move.
+    A target with a component in U is advanced at zero norm, so its
+    variance is unbounded; otherwise the search runs orthogonal to q and U.
+    """
+    n, dim = family.n_params, family.dim
+    traces = np.trace(family._stack, axis1=1, axis2=2)
+    rows = (family._stack - traces[:, None, None] * np.eye(dim) / dim).reshape(n, -1)
+    u, s, _ = np.linalg.svd(np.hstack([rows.real, rows.imag]))
+    unseen = u[:, int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)) :]
+    if np.linalg.norm(unseen.T @ q) > UNSEEN_TOL * np.linalg.norm(q):
+        raise UnboundedVarianceError(
+            "the target has a component on which every generator acts as a multiple of "
+            "the identity; it is invisible to the process and its variance is unbounded"
+        )
+    _, _, vt = np.linalg.svd(np.vstack([q, unseen.T]))
+    return vt[1 + unseen.shape[1] :].T
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200):
@@ -366,13 +389,14 @@ def _norm_subgradient(family: ProcessFamily, b: np.ndarray) -> np.ndarray:
 def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     n = q.size
     base = q / (q @ q)
-    plane = _null_space_basis(q)
+    plane = _visible_plane(family, q)
+    width = plane.shape[1]
     rng = np.random.default_rng(0)
 
     def cost(t: np.ndarray) -> float:
         return family.norm(base + plane @ t)
 
-    starts = [np.zeros(n - 1)]
+    starts = [np.zeros(width)]
     for j in range(n):
         if q[j] != 0.0:
             for sign in (1.0, -1.0):
@@ -380,7 +404,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
                 b[j] = sign / q[j]
                 starts.append(plane.T @ (b - base))
     while len(starts) < 2 * n + 2:
-        starts.append(rng.standard_normal(n - 1))
+        starts.append(rng.standard_normal(width))
 
     candidates = []
     for start in starts:
@@ -392,14 +416,6 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     )
     vec = np.array(tied[0])
     norm = family.norm(vec)
-    # The spread of b^j X_j is exact only to round-off on the scale
-    # sum_j |b_j| |X_j|_F; a spread below UNSEEN_TOL of it is a zero norm.
-    scale = np.abs(vec) @ np.linalg.norm(family._stack.reshape(n, -1), axis=1)
-    if norm <= UNSEEN_TOL * scale:
-        raise UnboundedVarianceError(
-            f"the process norm vanishes on a direction advancing the target ({norm:.3e}); "
-            "the target is invisible to the process and its variance is unbounded"
-        )
     at_corner = _corner_test(family, vec, plane)
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):

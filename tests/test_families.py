@@ -216,6 +216,30 @@ class TestMinimizeNorm:
         with pytest.raises(UnboundedVarianceError):
             minimize_norm(family, OneForm(rng.standard_normal(3)))
 
+    def test_invisible_target_whose_descent_stalls(self):
+        # the traceless generators have rank 3, so some b with q . b = 1
+        # has norm 0; a descent stalled at a tiny norm once reported a
+        # variance bound of 1.7e14 here instead of raising
+        diagonals = [
+            [1.05, -0.01, 0.58, -1.29],
+            [0.35, -1.69, -2.04, -0.3],
+            [-0.9, 0.16, 2.24, -0.83],
+            [-0.62, 0.21, 0.49, -0.18],
+        ]
+        family = ProcessFamily([HermitianOperator(np.diag(d).astype(complex)) for d in diagonals])
+        with pytest.raises(UnboundedVarianceError):
+            minimize_norm(family, OneForm([-0.21, 0.7, 0.52, -1.03]))
+
+    def test_target_along_the_only_visible_direction(self):
+        # every b on the plane q . b = 1 with q = delta has norm |b . delta| = 1
+        diagonals = np.random.default_rng(0).standard_normal((3, 2))
+        family = ProcessFamily([HermitianOperator(np.diag(d).astype(complex)) for d in diagonals])
+        delta = diagonals[:, 0] - diagonals[:, 1]
+        result = minimize_norm(family, OneForm(delta))
+        assert result.norm == pytest.approx(1.0, abs=1e-12)
+        assert result.dual_norm**2 == pytest.approx(1.0, abs=1e-12)
+        assert not result.at_corner
+
     def test_custom_family_matches_scan(self, rng):
         family = random_custom_family(rng, n_params=2, dim=4)
         q = np.array([1.0, 0.7])
