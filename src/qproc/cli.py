@@ -51,6 +51,9 @@ from .tangent import OneForm, canonicalize, fisher_dual
 
 KISSING_TOL = 1e-8
 SCHEMA_VERSION = 1
+# Bound on |q_j| and on generator entries, so that their squares and sums
+# (q.q, X + X^dag) stay finite floats.
+MAX_MAGNITUDE = 1e150
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -68,34 +71,48 @@ CONFIG_SCHEMA = {
                 "generators_path": {"type": "string"},
             },
         },
-        "q": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "q": {
+            "type": "array",
+            "items": {"type": "number", "minimum": -MAX_MAGNITUDE, "maximum": MAX_MAGNITUDE},
+            "minItems": 1,
+        },
         "protocol": {
             "type": "object",
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": ["hyperface", "hyperedge", "corner", "zoo", "bloch", "optimal"]},
-                "z": {"type": ["array", "string"]},
-                "w": {"type": ["array", "string"]},
+                "z": {"type": ["array", "string"], "items": {"enum": [-1, 0, 1]}},
+                "w": {"type": ["array", "string"], "items": {"enum": [-1, 0, 1]}},
                 "a": {"type": "array", "items": {"type": "number"}},
-                "p": {"type": ["array", "object"]},
+                "p": {
+                    "type": ["array", "object"],
+                    "minItems": 1,
+                    "minProperties": 1,
+                    "items": {"type": "number"},
+                    "additionalProperties": {"type": "number"},
+                },
                 "variant": {"enum": ["branched", "pure", "mixed"]},
                 "expect_optimal": {"type": "boolean"},
             },
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": "hyperface"}}}, "then": {"required": ["z"]}},
+                {"if": {"properties": {"kind": {"const": "hyperedge"}}}, "then": {"required": ["w"]}},
+            ],
         },
         "simulate": {
             "type": "object",
             "required": ["shots", "repetitions", "seed"],
             "properties": {
                 "theta_true": {"type": "array", "items": {"type": "number"}},
-                "shots": {"type": "integer", "minimum": 1},
-                "repetitions": {"type": "integer", "minimum": 2},
+                "shots": {"type": "integer", "minimum": 1, "maximum": 10**12},
+                "repetitions": {"type": "integer", "minimum": 2, "maximum": 10**8},
                 "seed": {"type": "integer"},
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "geometry": {
             "type": "object",
-            "properties": {"resolution": {"type": "integer", "minimum": 1}},
+            "properties": {"resolution": {"type": "integer", "minimum": 1, "maximum": 2**20}},
         },
         "output": {
             "type": "object",
@@ -108,9 +125,13 @@ CONFIG_SCHEMA = {
 }
 
 # Checked against its metaschema once here rather than on every
-# jsonschema.validate call, which repeats that check each time.
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_VALIDATOR.check_schema(CONFIG_SCHEMA)
+# jsonschema.validate call, which repeats that check each time.  Integer
+# fields take JSON integers only: the draft also counts 3.0 as one.
+_DRAFT = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_DRAFT.check_schema(CONFIG_SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(
+    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine("integer", lambda checker, value: type(value) is int)
+)(CONFIG_SCHEMA)
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -165,6 +186,8 @@ def family_from_config(config: dict) -> ProcessFamily:
             gens = [HermitianOperator(matrix_from_pairs(g)) for g in nested]
         except QprocError as exc:
             raise SchemaError(f"bad generator matrices: {exc}") from exc
+        if any(np.abs(gen.entries).max() > MAX_MAGNITUDE for gen in gens):
+            raise SchemaError(f"generator entries must not exceed {MAX_MAGNITUDE:g} in magnitude")
         family = ProcessFamily(gens)
     if family.n_params != n_q:
         raise SchemaError(f"q has {n_q} components but the family has {family.n_params} parameters")

@@ -35,7 +35,11 @@ def max_dim() -> int:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of the array, rejecting non-finite entries: a NaN
+    would pass every ``defect > tol`` check, since the comparison is False."""
     out = np.array(a)
+    if not np.isfinite(out).all():
+        raise InvariantViolation("entries must be finite numbers")
     out.setflags(write=False)
     return out
 
@@ -47,7 +51,7 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _frozen(np.asarray(self.entries, dtype=complex))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ArgumentError(f"operator must be a square matrix, got shape {entries.shape}")
         if entries.shape[0] < 1:
@@ -57,7 +61,7 @@ class HermitianOperator:
             raise InvariantViolation(
                 f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {HERMITICITY_TOL:g}"
             )
-        object.__setattr__(self, "entries", _frozen(entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -80,13 +84,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
         if amps.size < 1:
             raise ArgumentError("state vector must have at least one amplitude")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise InvariantViolation(f"state norm {norm!r} deviates from 1 by more than {STATE_NORM_TOL:g}")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -107,7 +111,7 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = _frozen(np.asarray(self.entries, dtype=complex))
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ArgumentError(f"density matrix must be square, got shape {entries.shape}")
         defect = np.max(np.abs(entries - entries.conj().T))
@@ -119,7 +123,7 @@ class DensityOperator:
         tr = np.real(np.trace(entries))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"density matrix trace {tr!r} deviates from 1")
-        object.__setattr__(self, "entries", _frozen(entries))
+        object.__setattr__(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -149,7 +153,7 @@ class Povm:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
+        basis = _frozen(np.asarray(self.basis, dtype=complex))
         labels = tuple(str(label) for label in self.labels)
         if basis.ndim != 2 or basis.shape[1] < 1:
             raise ArgumentError(f"POVM basis must be a (dim, n_outcomes) matrix, got shape {basis.shape}")
@@ -161,7 +165,7 @@ class Povm:
         defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
         if defect > TRACE_TOL:
             raise InvariantViolation(f"POVM elements sum to identity only within {defect:.3e}")
-        object.__setattr__(self, "basis", _frozen(basis))
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -238,10 +242,12 @@ def pauli_z_diagonal(n_qubits: int) -> np.ndarray:
     """
     if n_qubits < 1:
         raise ArgumentError("need at least one qubit")
-    dim = 2**n_qubits
     cap = max_dim()
-    if dim > cap:
-        raise ResourceLimitError(f"dimension 2^{n_qubits} = {dim} exceeds the cap {cap}")
+    # 2^n > cap exactly when n reaches the cap's bit length; comparing
+    # that first never builds (or formats) a huge 2^n
+    if n_qubits >= cap.bit_length():
+        raise ResourceLimitError(f"dimension 2^{n_qubits} exceeds the cap {cap}")
+    dim = 2**n_qubits
     shifts = np.arange(n_qubits - 1, -1, -1)[:, None]
     return 0.5 - ((np.arange(dim)[None, :] >> shifts) & 1)
 
@@ -302,7 +308,7 @@ def outcome_distribution(povm: Povm, columns: np.ndarray) -> np.ndarray:
     """The Born distribution of :meth:`Povm.born`, checked and normalized."""
     probs = np.clip(povm.born(columns), 0.0, 1.0)
     total = probs.sum()
-    if abs(total - 1.0) >= PROB_SUM_TOL:
+    if not abs(total - 1.0) < PROB_SUM_TOL:  # a NaN total fails too
         raise InvariantViolation(f"Born probabilities sum to {total!r}; not a distribution")
     return probs / total
 

@@ -492,6 +492,8 @@ def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndar
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != family.n_params:
         raise ArgumentError("parameter point length does not match the family")
+    if not np.isfinite(theta).all():
+        raise ArgumentError("parameter point has non-finite entries")
     columns = family.evolve(theta, branch.fiducial.columns())
     return outcome_distribution(branch.measurement, columns)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,36 @@ class TestPovmValidation:
     def test_labels_unique(self):
         with pytest.raises(ArgumentError):
             Povm(np.eye(2), ("x", "x"))
+
+
+class TestNonFiniteEntries:
+    """NaN compares False with every tolerance, so it is rejected up front."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_every_validator_rejects_it(self, bad):
+        from qproc import DensityOperator
+
+        matrix = np.array([[bad, 0.0], [0.0, 0.5]])
+        with pytest.raises(InvariantViolation):
+            HermitianOperator(matrix)
+        with pytest.raises(InvariantViolation):
+            DensityOperator(matrix)
+        with pytest.raises(InvariantViolation):
+            PureState(np.array([bad, 1.0]))
+        with pytest.raises(InvariantViolation):
+            Povm(np.array([[bad, 0.0], [0.0, 1.0]]), ("a", "b"))
+        with pytest.raises(InvariantViolation):
+            Povm(np.array([[bad], [0.0]]), ("a", "rest"))
+
+    def test_nan_generator_exits_2(self, tmp_path, capsys):
+        from qproc.cli import main
+
+        nan_z = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+        config = {"schema_version": 1, "family": {"kind": "custom-unitary", "generators": [nan_z]}, "q": [1.0]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["bound", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "schema"
 
 
 def _trine():
