@@ -31,7 +31,11 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def max_dim() -> int:
     """Hilbert-space dimension cap; override with the QPROC_MAX_DIM env var."""
-    return int(os.environ.get("QPROC_MAX_DIM", DEFAULT_MAX_DIM))
+    value = os.environ.get("QPROC_MAX_DIM", DEFAULT_MAX_DIM)
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ArgumentError(f"QPROC_MAX_DIM must be an integer, got {value!r}") from exc
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -241,7 +241,11 @@ def qubit_projective_povm(direction) -> Povm:
     return Povm.from_basis(qubit_basis(n / np.linalg.norm(n)).T, ("+", "-"))
 
 
-def qubit_fisher_scan(states: np.ndarray, generator: HermitianOperator, directions: np.ndarray) -> np.ndarray:
+def qubit_fisher_scan(
+    states: np.ndarray,
+    generator: HermitianOperator,
+    directions: np.ndarray,
+) -> np.ndarray:
     """Scalar classical Fisher at the fiducial point for every
     (state, projective measurement) pair on a single qubit.
 

@@ -14,9 +14,10 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc.cli import main
@@ -40,25 +41,15 @@ def _slots(node):
         yield from _slots(value)
 
 
-def run(argv: list[str], config) -> tuple[int, str]:
-    """Run ``main`` on a config written to a scratch directory, with the
-    dimension cap at 64; returns the exit code and stdout."""
+def run(argv: list[str], config, cap: str = "64") -> tuple[int, str]:
+    """Run ``main`` on a config written to a scratch file, with
+    ``QPROC_MAX_DIM`` set to ``cap``; returns the exit code and stdout."""
     stdout = io.StringIO()
-    saved_cwd, saved_cap = os.getcwd(), os.environ.get("QPROC_MAX_DIM")
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"QPROC_MAX_DIM": cap}):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        os.environ["QPROC_MAX_DIM"] = "64"
-        os.chdir(tmp)  # a mutated output path lands here
-        try:
-            with contextlib.redirect_stdout(stdout):
-                code = main([argv[0], str(path), *argv[1:]])
-        finally:
-            os.chdir(saved_cwd)
-            if saved_cap is None:
-                del os.environ["QPROC_MAX_DIM"]
-            else:
-                os.environ["QPROC_MAX_DIM"] = saved_cap
+        with contextlib.redirect_stdout(stdout):
+            code = main([argv[0], str(path), *argv[1:]])
     return code, stdout.getvalue()
 
 
@@ -71,8 +62,7 @@ def assert_well_formed(argv: list[str], code: int, out: str) -> None:
         json.loads(out)  # exactly one JSON value: trailing text fails to parse
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_mutated_configs_never_exit_3(data):
     case = data.draw(st.sampled_from(CASES), label="case")
@@ -114,7 +104,9 @@ REGRESSIONS = [
 ]
 
 
-@pytest.mark.parametrize("name, path, value", REGRESSIONS, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in REGRESSIONS])
+@pytest.mark.parametrize(
+    "name, path, value", REGRESSIONS, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in REGRESSIONS]
+)
 def test_malformed_values_exit_2(name, path, value):
     case = BY_NAME[name]
     config = copy.deepcopy(case["config"])
@@ -136,3 +128,9 @@ def test_variance_bound_beyond_the_float_range_exits_2():
     code, out = run(["bound"], config)
     assert code == 2, out
     assert "overflows" in json.loads(out)["message"]
+
+
+def test_non_integer_dimension_cap_exits_2():
+    code, out = run(["bound"], BY_NAME["bound-pauliz-corner"]["config"], cap="abc")
+    assert code == 2, out
+    assert "QPROC_MAX_DIM" in json.loads(out)["message"]
