@@ -168,7 +168,7 @@ class Povm:
         gram = basis.conj().T @ basis if len(labels) > basis.shape[1] else basis @ basis.conj().T
         defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
         if defect > TRACE_TOL:
-            raise InvariantViolation(f"POVM elements sum to identity only within {defect:.3e}")
+            raise InvariantViolation(f"POVM basis misses its completeness check by {defect:.3e}")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "labels", labels)
 

@@ -353,7 +353,7 @@ class TestComplementOutcome:
                     expected += np.outer(dp, dp) / p
                 branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
                 fisher = protocol_fisher(Protocol(kind="frame", branches=(branch,), family_dim=dim), family)
-                assert np.max(np.abs(fisher.entries - expected)) < 1e-10
+                assert np.max(np.abs(fisher.entries - expected)) < 1e-12
 
 
 class TestMatrixWireFormat:
