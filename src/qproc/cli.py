@@ -51,8 +51,8 @@ from .tangent import OneForm, canonicalize, fisher_dual
 
 KISSING_TOL = 1e-8
 SCHEMA_VERSION = 1
-# Bound on |q_j| and on generator entries, so that their squares and sums
-# (q.q, X + X^dag) stay finite floats.
+# Bound on |q_j|, on generator entries and on epsilon, so that their
+# squares and sums (q.q, X + X^dag, 2 epsilon) stay finite floats.
 MAX_MAGNITUDE = 1e150
 
 CONFIG_SCHEMA = {
@@ -66,7 +66,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["pauli-z", "bloch", "epsilon-pair", "custom-unitary"]},
                 "N": {"type": "integer", "minimum": 1},
-                "epsilon": {"type": "number", "minimum": 0},
+                "epsilon": {"type": "number", "minimum": 0, "maximum": MAX_MAGNITUDE},
                 "generators": {"type": "array"},
                 "generators_path": {"type": "string"},
             },

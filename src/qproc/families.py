@@ -20,10 +20,14 @@ from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_dia
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
-CORNER_GAP = 1e-6
-CONVERGENCE_TOL = 1e-10
-STALL_WINDOW = 50
-MAX_ITERATIONS = 2000
+# Cutting planes stop once the best norm is within GAP_TOL (relative) of
+# the certified lower bound; a certificate cut whose plane part exceeds
+# KINK_TOL of the norm of its direction marks a kink.
+GAP_TOL = 1e-12
+KINK_TOL = 1e-2
+MAX_CUTS = 1000
+MAX_PIVOTS = 10000
+PIVOT_TOL = 1e-14
 UNSEEN_TOL = 1e-12
 # the largest dual norm whose square, the variance bound, is a finite float
 MAX_DUAL_NORM = float(np.sqrt(np.finfo(float).max))
@@ -241,7 +245,9 @@ class NormMinimizer:
     ``dual_norm`` squared is the attainable variance bound per
     interaction; ``at_corner`` flags a kink of the unit surface at the
     minimizer, where saturating measurements must be mixed
-    probabilistically.
+    probabilistically.  ``gap`` is ``norm`` minus a certified lower bound
+    on the minimum over the plane: every b with q.b = 1 has
+    norm(b) >= norm - gap.  It is 0.0 for the closed forms.
     """
 
     vector: TangentVector
@@ -249,6 +255,7 @@ class NormMinimizer:
     dual_norm: float
     at_corner: bool
     adjacent_faces: tuple[tuple[int, ...], ...] | None = None
+    gap: float = 0.0
 
     def __post_init__(self):
         if not abs(self.dual_norm * self.norm - 1.0) <= 1e-10:
@@ -262,9 +269,14 @@ class NormMinimizer:
 def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     """Minimize the process norm over the plane of unit advance in q.
 
-    Closed-form solutions cover the commuting and Bloch families; the
-    partially commuting pair and custom families run a projected descent
-    over the constraint plane with golden-section refinement.
+    Closed-form solutions cover the commuting and Bloch families.  The
+    partially commuting pair and custom families run Kelley's cutting
+    planes over the part of the constraint plane the process can see,
+    until the best norm found is within GAP_TOL (relative) of the lower
+    bound certified by the master LP's weights; the result carries that
+    ``gap``.  They raise UnboundedVarianceError for a target the process
+    cannot see, and ConvergenceError, carrying the best point as ``best``,
+    if MAX_CUTS cuts leave the gap open.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -320,17 +332,15 @@ def dual_norm(family: ProcessFamily, dq: OneForm) -> float:
 # Numerical minimization over the constraint plane.
 
 
-def _visible_plane(family: ProcessFamily, q: np.ndarray) -> np.ndarray:
+def _visible_plane(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal directions of the plane q.b = 1 that the process can see.
 
-    Along the null space U of the stacked traceless generators, b^j X_j
-    gains only a multiple of the identity and its spread does not move.
-    A target with a component in U is advanced at zero norm, so its
+    ``stack`` holds the traceless generators.  Along their null space U,
+    b^j X_j gains only a multiple of the identity and its spread does not
+    move.  A target with a component in U is advanced at zero norm, so its
     variance is unbounded; otherwise the search runs orthogonal to q and U.
     """
-    n, dim = family.n_params, family.dim
-    traces = np.trace(family._stack, axis1=1, axis2=2)
-    rows = (family._stack - traces[:, None, None] * np.eye(dim) / dim).reshape(n, -1)
+    rows = stack.reshape(stack.shape[0], -1)
     u, s, _ = np.linalg.svd(np.hstack([rows.real, rows.imag]))
     unseen = u[:, int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)) :]
     if np.linalg.norm(unseen.T @ q) > UNSEEN_TOL * np.linalg.norm(q):
@@ -342,146 +352,110 @@ def _visible_plane(family: ProcessFamily, q: np.ndarray) -> np.ndarray:
     return vt[1 + unseen.shape[1] :].T
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-13, max_iter: int = 200):
-    """Minimize a unimodal scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """The norm at b and its cut g_j = <top|X_j|top> - <bottom|X_j|bottom>,
+    which satisfies g.b' <= norm(b') for every b', with equality at b."""
+    eigs, vecs = np.linalg.eigh(np.tensordot(b, stack, axes=1))
+    ends = vecs[:, [-1, 0]]
+    expect = np.einsum("ak,jab,bk->jk", ends.conj(), stack, ends).real
+    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1]
 
 
-def _line_minimize(f, span: float):
-    """Minimize f(s) for s in an expanding symmetric bracket around 0."""
-    s = span
-    f0 = f(0.0)
-    for _ in range(60):
-        if f(s) > f0 and f(-s) > f0:
-            break
-        s *= 2.0
-    return _golden_section(f, -s, s)
+def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
+    """Maximize costs.x over x >= 0 with columns @ x = e_0, by revised simplex.
 
-
-def _norm_subgradient(family: ProcessFamily, b: np.ndarray) -> np.ndarray:
-    eigs, vecs = family.generator(b).eigh()
-    vmax = vecs[:, -1]
-    vmin = vecs[:, 0]
-    return np.array(
-        [
-            float(np.real(np.vdot(vmax, gen.entries @ vmax) - np.vdot(vmin, gen.entries @ vmin)))
-            for gen in family.generators
-        ]
-    )
+    Each pivot solves with the basis columns of the original matrix, and
+    Bland's rule (lowest entering index, then lowest leaving column) rules
+    out cycling.  Returns the optimal basis, its weights x and the
+    multipliers y, which solve the LP dual min y_0 s.t. columns^T y >= costs.
+    """
+    rhs = np.zeros(columns.shape[0])
+    rhs[0] = 1.0
+    for _ in range(MAX_PIVOTS):
+        square = columns[:, basis]
+        x = np.linalg.solve(square, rhs)
+        y = np.linalg.solve(square.T, costs[basis])
+        reduced = costs - y @ columns
+        reduced[basis] = 0.0
+        # the rounding error of a reduced cost scales with the terms it sums
+        entering = np.flatnonzero(reduced > PIVOT_TOL * (np.abs(costs) + np.abs(y) @ np.abs(columns)))
+        if entering.size == 0:
+            return basis, x, y
+        step = np.linalg.solve(square, columns[:, entering[0]])
+        rows = np.flatnonzero(step > PIVOT_TOL * np.abs(step).max())
+        ratios = np.maximum(x[rows], 0.0) / step[rows]
+        ties = rows[ratios <= ratios.min()]
+        basis[ties[np.argmin(basis[ties])]] = entering[0]
+    raise ConvergenceError(f"the master LP did not settle in {MAX_PIVOTS} pivots")
 
 
 def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
-    n = q.size
+    """Kelley's cutting planes on the visible plane, with a dual certificate.
+
+    The oracle works on the traceless generators, whose combinations have
+    the same spread and eigenvectors as b^j X_j.  Points are
+    b = center + step @ t, with center the best point so far (first
+    base) and step the visible plane scaled by |base|.  Each oracle call
+    adds the cut g and its mirror -g as columns (1, step^T g) with cost
+    g.center to the master LP, solved in its dual form with every cut
+    scaled by the best norm.  Taking costs at the best point rather than
+    at base keeps steep cuts from cancelling digits.  The first 2k
+    columns +-e_i with cost -radius bound the box |t_i| <= radius, which
+    keeps the LP bounded; radius grows tenfold while the box carries
+    weight.  With no weight on the box, the LP value ``lower`` bounds the
+    norm from below on the whole plane, since its weights w satisfy
+    sum_i w_i g_i = lower * q.  The loop stops when the best norm seen is
+    within GAP_TOL of ``lower``.
+    """
+    dim = family.dim
+    stack = family._stack - np.trace(family._stack, axis1=1, axis2=2)[:, None, None] * np.eye(dim) / dim
     base = q / (q @ q)
-    plane = _visible_plane(family, q)
-    width = plane.shape[1]
-    rng = np.random.default_rng(0)
-
-    def cost(t: np.ndarray) -> float:
-        return family.norm(base + plane @ t)
-
-    starts = [np.zeros(width)]
-    for j in range(n):
-        if q[j] != 0.0:
-            for sign in (1.0, -1.0):
-                b = np.zeros(n)
-                b[j] = sign / q[j]
-                starts.append(plane.T @ (b - base))
-    while len(starts) < 2 * n + 2:
-        starts.append(rng.standard_normal(width))
-
-    candidates = []
-    for start in starts:
-        t, value = _descend(family, cost, start, plane, base, rng)
-        candidates.append((value, base + plane @ t))
-    best_value = min(value for value, _ in candidates)
-    tied = sorted(
-        (tuple(vec) for value, vec in candidates if value <= best_value + 1e-9),
-    )
-    vec = np.array(tied[0])
-    norm = family.norm(vec)
-    at_corner = _corner_test(family, vec, plane)
+    step = _visible_plane(stack, q) * np.linalg.norm(base)
+    k = step.shape[1]
+    box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
+    cuts = np.zeros((q.size, 0))
+    radius, best, center, t, basis = 1.0, np.inf, base, np.zeros(k), None
+    for _ in range(MAX_CUTS):
+        b = center + step @ t
+        value, g = _cut(stack, b)
+        if value < best:
+            best, center = value, b
+        cuts = np.hstack([cuts, g[:, None], -g[:, None]])
+        if basis is None:
+            basis = np.concatenate([[2 * k], np.where(step.T @ g > 0, k, 0) + np.arange(k)])
+        columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
+        costs = np.concatenate([np.full(2 * k, -radius), center @ cuts / best])
+        basis, x, y = _master_dual(columns, costs, basis)
+        boxed = np.any(x[basis < 2 * k] > PIVOT_TOL)
+        lower = best * float(costs[basis] @ x)
+        if not boxed and best - lower <= GAP_TOL * best:
+            break
+        if boxed:
+            radius *= 10.0
+        t = -y[1:]
+    else:
+        raise ConvergenceError(
+            f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} cuts",
+            best=TangentVector(center),
+        )
+    # A kink shows as a certificate cut g whose part along the plane, a =
+    # step^T g, is not negligible next to the norm of that direction:
+    # g.(step a) = |a|^2 against norm(step a).  At a smooth minimum every
+    # certificate cut comes from a point where that part nearly vanishes.
+    plane_parts = step.T @ cuts[:, basis[(basis >= 2 * k) & (x > PIVOT_TOL)] - 2 * k]
+    at_corner = any(a @ a > KINK_TOL * _cut(stack, step @ a)[0] for a in plane_parts.T)
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):
         faces = _adjacent_faces(canonicalize(OneForm(q)))
+    norm = family.norm(center)
     return NormMinimizer(
-        vector=TangentVector(vec),
+        vector=TangentVector(center),
         norm=norm,
         dual_norm=1.0 / norm,
         at_corner=at_corner,
         adjacent_faces=faces,
+        gap=max(norm - lower, 0.0),
     )
-
-
-def _descend(family, cost, start, plane, base, rng):
-    """Projected descent: golden-section line searches along the
-    subgradient and random plane directions until improvement stalls."""
-    t = np.array(start, dtype=float)
-    value = cost(t)
-    stalled = 0
-    k = plane.shape[1]
-    for iteration in range(MAX_ITERATIONS):
-        directions = []
-        grad = _norm_subgradient(family, base + plane @ t)
-        reduced = plane.T @ grad
-        if np.linalg.norm(reduced) > 1e-14:
-            directions.append(-reduced / np.linalg.norm(reduced))
-        directions.extend(np.eye(k))
-        if k > 1:
-            extra = rng.standard_normal((2, k))
-            directions.extend(extra / np.linalg.norm(extra, axis=1, keepdims=True))
-        best_step, best_value = None, value
-        for direction in directions:
-            s, candidate = _line_minimize(lambda s: cost(t + s * direction), 0.25 * (1 + np.linalg.norm(t)))
-            if candidate < best_value - 1e-16:
-                best_step, best_value = s * direction, candidate
-        if best_step is None or value - best_value < CONVERGENCE_TOL:
-            stalled += 1
-            if stalled >= STALL_WINDOW or best_step is None:
-                if best_step is not None:
-                    t, value = t + best_step, best_value
-                return t, value
-        else:
-            stalled = 0
-        if best_step is not None:
-            t, value = t + best_step, best_value
-    raise ConvergenceError(
-        f"norm minimization did not converge in {MAX_ITERATIONS} iterations",
-        best=TangentVector(base + plane @ t),
-    )
-
-
-def _corner_test(family, vec: np.ndarray, plane: np.ndarray, h: float = 1e-7) -> bool:
-    """Subdifferential width test: a kink shows one-sided directional
-    derivatives along the constraint plane that do not cancel."""
-    f0 = family.norm(vec)
-    width = 0.0
-    directions = list(plane.T)
-    if plane.shape[1] > 1:
-        rng = np.random.default_rng(1)
-        extra = rng.standard_normal((3, plane.shape[1]))
-        directions.extend((plane @ (d / np.linalg.norm(d)) for d in extra))
-    for direction in directions:
-        forward = (family.norm(vec + h * direction) - f0) / h
-        backward = (family.norm(vec - h * direction) - f0) / h
-        width = max(width, forward + backward)
-    return width > CORNER_GAP
 
 
 # ---------------------------------------------------------------------------

@@ -476,3 +476,12 @@ class TestRoundTrip:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["variance_bound"] == 1.0
+
+
+def test_cli_imports_no_scipy():
+    # scipy is not a dependency; importing scipy.optimize alone costs about
+    # 1 s and 48 MB of resident memory, more than a whole `bound` run
+    probe = "import sys, qproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

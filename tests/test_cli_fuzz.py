@@ -4,7 +4,8 @@ A property test mutates the golden configs (a dropped key, a value of
 the wrong type, a huge, negative, non-integral or NaN number) and runs
 each through ``main``: the exit code is 0, 1 or 2, never 3, and stdout
 holds one JSON value, or the CSV report of a ``--format csv`` run that
-succeeds.  The regressions below are inputs that once exited 3.
+succeeds.  The regressions below are inputs that once exited 3 or
+printed a warning; each must exit 2 with no warning.
 """
 
 import contextlib
@@ -104,6 +105,7 @@ REGRESSIONS = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "name, path, value", REGRESSIONS, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p, _ in REGRESSIONS]
 )

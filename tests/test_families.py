@@ -4,11 +4,13 @@ import pytest
 from qproc import (
     ArgumentError,
     BlochFamily,
+    ConvergenceError,
     EpsilonPairFamily,
     HermitianOperator,
     OneForm,
     PauliZFamily,
     ProcessFamily,
+    TangentVector,
     UnboundedVarianceError,
     UnsupportedDimensionError,
     cross_polytope_decomposition,
@@ -20,6 +22,7 @@ from qproc import (
     tensor,
     unit_ball_mesh,
 )
+from qproc import families
 from qproc.operators import SIGMA_X, SIGMA_Z
 
 from conftest import random_traceless_hermitian
@@ -248,6 +251,124 @@ class TestMinimizeNorm:
         values = np.array([family.norm(np.array([ti, (1 - q[0] * ti) / q[1]])) for ti in t])
         assert result.norm <= values.min() + 1e-6
         assert pair(OneForm(q), result.vector) == pytest.approx(1.0, abs=1e-9)
+
+    def test_commuting_custom_family_reaches_the_vertex(self):
+        # a polytope norm on which the multi-start descent once stalled
+        # at 0.19059, overstating the attainable precision 1.8 times
+        rows = [
+            [-0.8, 1.08, -0.33, -0.33, 1.52],
+            [0.49, 0.7, 0.85, -0.91, 0.12],
+            [0.15, -0.16, -1.09, 0.46, -1.66],
+            [-0.94, -0.81, -0.41, 0.84, 1.66],
+        ]
+        family = ProcessFamily([HermitianOperator(np.diag(d).astype(complex)) for d in rows])
+        result = minimize_norm(family, OneForm([1.72, 0.81, 0.44, -2.34]))
+        assert result.norm == pytest.approx(0.1411802244284279, rel=1e-9)
+        assert result.at_corner
+
+    @pytest.mark.parametrize("scale", [1, 10, 1000])
+    def test_smooth_qubit_family_at_every_scale(self, scale):
+        # the spread is scale * |(b1 + b2/2, b2)|, so on q . b = 1 the
+        # variance bound is (1 + 0.9^2) / scale^2 and the minimum is smooth;
+        # a finite-difference probe once called it a corner from scale 10 up
+        first = HermitianOperator(scale * np.diag([0.5, -0.5]).astype(complex))
+        second = HermitianOperator(scale * np.array([[0.25, 0.5], [0.5, -0.25]], dtype=complex))
+        result = minimize_norm(ProcessFamily([first, second]), OneForm([1.0, -0.4]))
+        assert not result.at_corner
+        assert result.dual_norm**2 == pytest.approx(1.81 / scale**2, rel=1e-12)
+
+    def test_cut_cap_raises_with_the_best_point(self, rng, monkeypatch):
+        family = random_custom_family(rng)
+        q = np.array([1.0, -0.5, 0.3])
+        monkeypatch.setattr(families, "MAX_CUTS", 3)
+        with pytest.raises(ConvergenceError) as caught:
+            minimize_norm(family, OneForm(q))
+        best = caught.value.best
+        assert isinstance(best, TangentVector)
+        assert q @ best.components == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_family(rng, kind, n, dim):
+    """Generators of one of four kinds: commuting diagonals rounded to one
+    decimal, sparse real symmetric matrices with rounded entries, dense
+    complex Hermitian matrices, and the same times 1000."""
+    mats = []
+    for _ in range(n):
+        if kind == "diagonal":
+            mat = np.diag(np.round(rng.standard_normal(dim), 1))
+        elif kind == "sparse":
+            upper = np.triu(np.round(rng.standard_normal((dim, dim)), 1) * (rng.random((dim, dim)) < 0.4))
+            mat = upper + np.triu(upper, 1).T
+        else:
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            mat = 0.5 * (raw + raw.conj().T) * (1000.0 if kind == "dense-x1000" else 1.0)
+        mats.append(HermitianOperator(np.asarray(mat, dtype=complex)))
+    return ProcessFamily(mats)
+
+
+def _grid_minimum(family, q, points=21, levels=16):
+    """Smallest spread on a zooming grid over the plane q . b = 1.
+
+    On the plane, norm(base + v) >= c |v| - norm(base), with c the least
+    norm of a unit direction orthogonal to q, so the minimizer lies within
+    2 norm(base) / c of base; the first window takes twice that, with c
+    from a fine sample of directions.  Each level re-centres on the best
+    point and shrinks the window to two grid steps.  Every grid point lies
+    on the plane, so the result is never below the true minimum.
+    """
+    gens = np.array([gen.entries for gen in family.generators])
+
+    def spreads(bs):
+        eigs = np.linalg.eigvalsh(np.einsum("mj,jab->mab", bs, gens))
+        return eigs[:, -1] - eigs[:, 0]
+
+    base = q / (q @ q)
+    perp = np.linalg.svd(q[None, :])[2][1:]
+    best = spreads(base[None, :])[0]
+    k = perp.shape[0]
+    if k == 0:
+        return best
+    angles = np.linspace(0.0, np.pi, 1800, endpoint=False)
+    units = np.ones((1, 1)) if k == 1 else np.column_stack([np.cos(angles), np.sin(angles)])
+    radius = 4.0 * best / spreads(units @ perp).min()
+    axis = np.linspace(-1.0, 1.0, points)
+    offsets = np.stack(np.meshgrid(*[axis] * k), axis=-1).reshape(-1, k) @ perp
+    center = base
+    for _ in range(levels):
+        candidates = center + radius * offsets
+        values = spreads(candidates)
+        if values.min() < best:
+            best, center = values.min(), candidates[np.argmin(values)]
+        radius *= 4.0 / (points - 1)
+    return best
+
+
+class TestCertificate:
+    """Cutting planes on random families: a certified gap, checked against
+    an independent grid search where the plane has at most two dimensions."""
+
+    KINDS = ("diagonal", "sparse", "dense", "dense-x1000")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_families(self, kind):
+        rng = np.random.default_rng([7, self.KINDS.index(kind)])
+        solved = 0
+        for _ in range(16):
+            n, dim = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+            family = _random_family(rng, kind, n, dim)
+            q = np.round(rng.standard_normal(n), 2)
+            try:
+                result = minimize_norm(family, OneForm(q))
+            except UnboundedVarianceError:
+                continue
+            solved += 1
+            assert 0.0 <= result.gap <= families.GAP_TOL * result.norm * (1 + 1e-9)
+            if n <= 3:
+                grid = _grid_minimum(family, q)
+                # the certified lower bound, up to a few ulps of rounding
+                assert result.norm - result.gap <= grid * (1 + 1e-13)
+                assert result.norm <= grid * (1 + 1e-9)
+        assert solved >= 5
 
 
 class TestDualNorm:
