@@ -23,7 +23,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import QprocError, SchemaError, UnboundedVarianceError
+from .errors import ArgumentError, QprocError, SchemaError, UnboundedVarianceError
 from .families import (
     BlochFamily,
     EpsilonPairFamily,
@@ -183,11 +183,13 @@ def family_from_config(config: dict) -> ProcessFamily:
         else:
             raise SchemaError("custom-unitary families need generators or generators_path")
         try:
-            gens = [HermitianOperator(matrix_from_pairs(g)) for g in nested]
+            matrices = [matrix_from_pairs(g) for g in nested]
+            # checked before the Hermiticity test, whose A - A^dag would overflow
+            if any(np.abs(m).max(initial=0.0) > MAX_MAGNITUDE for m in matrices):
+                raise ArgumentError(f"entries must not exceed {MAX_MAGNITUDE:g} in magnitude")
+            gens = [HermitianOperator(m) for m in matrices]
         except QprocError as exc:
             raise SchemaError(f"bad generator matrices: {exc}") from exc
-        if any(np.abs(gen.entries).max() > MAX_MAGNITUDE for gen in gens):
-            raise SchemaError(f"generator entries must not exceed {MAX_MAGNITUDE:g} in magnitude")
         family = ProcessFamily(gens)
     if family.n_params != n_q:
         raise SchemaError(f"q has {n_q} components but the family has {family.n_params} parameters")

@@ -102,6 +102,7 @@ REGRESSIONS = [
     ("protocol-hyperface", ("protocol", "z"), [1, "x", 1]),  # ValueError
     ("bound-pair-smooth", ("family", "epsilon"), 1e308),  # NaN generators
     ("bound-custom-2", ("family", "generators", 0, 0, 0, 0), float("nan")),  # a NaN bound
+    ("bound-custom-2", ("family", "generators", 0, 0, 0, 1), 1e308),  # A - A^dag overflows
 ]
 
 
