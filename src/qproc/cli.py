@@ -3,7 +3,8 @@
 One self-describing JSON config drives every run; flags only override
 the output path and format, and for ``simulate`` the seed and shot
 count, so any result can be reproduced from a file checked into a test
-fixture.
+fixture.  A small checker over ``CONFIG_SCHEMA`` validates each config,
+overrides included, and names its shallowest violation.
 
 Exit codes: 0 success, 1 verification failure (a bound or saturation
 check did not hold), 2 usage or schema error (an unreadable config or
@@ -20,7 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .errors import ArgumentError, QprocError, SchemaError, UnboundedVarianceError
@@ -124,14 +124,75 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Checked against its metaschema once here rather than on every
-# jsonschema.validate call, which repeats that check each time.  Integer
-# fields take JSON integers only: the draft also counts 3.0 as one.
-_DRAFT = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-_DRAFT.check_schema(CONFIG_SCHEMA)
-_VALIDATOR = jsonschema.validators.extend(
-    _DRAFT, type_checker=_DRAFT.TYPE_CHECKER.redefine("integer", lambda checker, value: type(value) is int)
-)(CONFIG_SCHEMA)
+# qproc's own checker enforces CONFIG_SCHEMA with the keywords it uses, as
+# jsonschema does: bool is never a number, an integer is a JSON int (3.0 is
+# refused), in const and enum true is not 1 but 1.0 is, a keyword skips a
+# value of a type it does not apply to, and NaN passes minimum and maximum.
+_TYPES = {dict: {"object"}, list: {"array"}, str: {"string"}, bool: {"boolean"},
+          int: {"integer", "number"}, float: {"number"}}
+
+
+def _listed(types) -> list:
+    return [types] if isinstance(types, str) else types
+
+
+def _is(value, types) -> bool:
+    return not _TYPES.get(type(value), set()).isdisjoint(_listed(types))
+
+
+# keyword: (value, rule) -> jsonschema's message for a violation, else a false value
+_LEAVES = {
+    "type": lambda v, t: not _is(v, t) and f"{v!r} is not of type {', '.join(map(repr, _listed(t)))}",
+    "enum": lambda v, e: all(v != c or isinstance(v, bool) != isinstance(c, bool) for c in e)
+        and f"{v!r} is not one of {e!r}",
+    "const": lambda v, c: _LEAVES["enum"](v, [c]) and f"{c!r} was expected",
+    "minimum": lambda v, m: _is(v, "number") and v < m and f"{v!r} is less than the minimum of {m!r}",
+    "maximum": lambda v, m: _is(v, "number") and v > m and f"{v!r} is greater than the maximum of {m!r}",
+    "exclusiveMinimum": lambda v, m: _is(v, "number") and v <= m
+        and f"{v!r} is less than or equal to the minimum of {m!r}",
+    "minItems": lambda v, n: _is(v, "array") and len(v) < n
+        and f"{v!r} {'should be non-empty' if n == 1 else 'is too short'}",
+    "minProperties": lambda v, n: _is(v, "object") and len(v) < n
+        and f"{v!r} {'should be non-empty' if n == 1 else 'does not have enough properties'}",
+}
+_KEYWORDS = {*_LEAVES, "required", "properties", "additionalProperties", "items", "allOf", "if", "then"}
+
+
+def check_schema_keywords(schema: dict) -> None:
+    """Refuse a keyword that the checker does not implement and would ignore."""
+    if unknown := schema.keys() - _KEYWORDS:
+        raise ValueError(f"the config schema uses {sorted(unknown)}, which qproc's checker does not implement")
+    nested = [schema[key] for key in ("additionalProperties", "items", "if", "then") if key in schema]
+    for sub in [*schema.get("properties", {}).values(), *schema.get("allOf", []), *nested]:
+        check_schema_keywords(sub)
+
+
+def _violations(schema: dict, value, path: tuple = ()):
+    """(path, off_type, message) per violation, in schema order.  The one
+    with the largest (-len(path), path, off_type), the first of equals, is
+    what jsonschema's best_match reports; off_type says the value misses
+    the schema's own type, or the schema names none."""
+    off_type, known = not _is(value, schema.get("type", [])), schema.get("properties", {})
+    for key, rule in schema.items():
+        if key in _LEAVES and (message := _LEAVES[key](value, rule)):
+            yield path, off_type, message
+        elif key == "required" and isinstance(value, dict):
+            yield from ((path, off_type, f"{name!r} is a required property") for name in rule if name not in value)
+        elif key in ("properties", "additionalProperties") and isinstance(value, dict):
+            # a listed property takes its own schema, any other additionalProperties'
+            for name in value.keys() & known.keys() if key == "properties" else value.keys() - known.keys():
+                yield from _violations(known.get(name, rule), value[name], (*path, name))
+        elif key == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _violations(rule, item, (*path, index))
+        elif key == "allOf":
+            for sub in rule:
+                yield from _violations(sub, value, path)
+        elif key == "if" and next(_violations(rule, value, path), None) is None:
+            yield from _violations(schema.get("then", {}), value, path)
+
+
+check_schema_keywords(CONFIG_SCHEMA)
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -148,10 +209,9 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise SchemaError(f"cannot read config file {path!r}: {exc}") from exc
     if overrides and isinstance(config, dict) and isinstance(config.setdefault("simulate", {}), dict):
         config["simulate"].update(overrides)
-    # the error jsonschema.validate would raise
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(config))
-    if error is not None:
-        raise SchemaError(f"config violates the schema: {error.message}") from error
+    worst = max(_violations(CONFIG_SCHEMA, config), key=lambda v: (-len(v[0]), v[0], v[1]), default=None)
+    if worst is not None:
+        raise SchemaError(f"config violates the schema: {worst[2]}")
     generators_path = config["family"].get("generators_path")
     if generators_path is not None and not Path(generators_path).exists():
         raise SchemaError(f"referenced generators file {generators_path!r} does not exist")

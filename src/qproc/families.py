@@ -332,17 +332,21 @@ def dual_norm(family: ProcessFamily, dq: OneForm) -> float:
 # Numerical minimization over the constraint plane.
 
 
-def _visible_plane(stack: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal directions of the plane q.b = 1 that the process can see.
 
-    ``stack`` holds the traceless generators.  Along their null space U,
-    b^j X_j gains only a multiple of the identity and its spread does not
-    move.  A target with a component in U is advanced at zero norm, so its
-    variance is unbounded; otherwise the search runs orthogonal to q and U.
+    ``stack`` holds the traceless generators and ``scale`` the norms of the
+    full ones.  Along their null space U, b^j X_j gains only a multiple of
+    the identity and its spread does not move.  A target with a component
+    in U is advanced at zero norm, so its variance is unbounded; otherwise
+    the search runs orthogonal to q and U.  Each generator enters the rank
+    test over its own norm, so one far smaller than the rest is still seen.
     """
-    rows = stack.reshape(stack.shape[0], -1)
+    scale = np.where(scale > 0, scale, 1.0)
+    rows = stack.reshape(stack.shape[0], -1) / scale[:, None]
     u, s, _ = np.linalg.svd(np.hstack([rows.real, rows.imag]))
-    unseen = u[:, int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps)) :]
+    rank = int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps))
+    unseen = np.linalg.qr(u[:, rank:] / scale[:, None])[0]
     if np.linalg.norm(unseen.T @ q) > UNSEEN_TOL * np.linalg.norm(q):
         raise UnboundedVarianceError(
             "the target has a component on which every generator acts as a multiple of "
@@ -410,7 +414,8 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     dim = family.dim
     stack = family._stack - np.trace(family._stack, axis1=1, axis2=2)[:, None, None] * np.eye(dim) / dim
     base = q / (q @ q)
-    step = _visible_plane(stack, q) * np.linalg.norm(base)
+    scale = np.linalg.norm(family._stack.reshape(q.size, -1), axis=1)
+    step = _visible_plane(stack, scale, q) * np.linalg.norm(base)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
     cuts = np.zeros((q.size, 0))

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import subprocess
@@ -71,6 +72,17 @@ class TestBoundCommand:
         assert payload["variance_bound"] == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(payload["b_min"], [0.0, 1.0], atol=1e-8)
         assert payload["at_corner"] is True
+
+    def test_generators_of_far_apart_scales_are_all_seen(self, tmp_path):
+        # sqrt(2 epsilon) ~ 4e14: a rank test relative to the largest
+        # generator called the second one invisible and exited 2
+        code, payload = run_json(
+            tmp_path,
+            "bound",
+            {"schema_version": 1, "family": {"kind": "epsilon-pair", "epsilon": 1e29}, "q": [1.0, 0.05]},
+        )
+        assert code == 0
+        assert payload["norm"] == pytest.approx(20.0, rel=1e-9)
 
 
 class TestProtocolCommand:
@@ -478,10 +490,38 @@ class TestRoundTrip:
         assert json.loads(result.stdout)["variance_bound"] == 1.0
 
 
+def modules_loaded_by_cli(package: str) -> str:
+    """The modules of ``package`` that importing qproc.cli loads in a fresh interpreter."""
+    probe = f"import sys, qproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 def test_cli_imports_no_scipy():
     # scipy is not a dependency; importing scipy.optimize alone costs about
     # 1 s and 48 MB of resident memory, more than a whole `bound` run
-    probe = "import sys, qproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert modules_loaded_by_cli("scipy") == "[]"
+
+
+def test_cli_imports_no_jsonschema():
+    # qproc checks configs itself; jsonschema is needed by the tests alone
+    assert modules_loaded_by_cli("jsonschema") == "[]"
+
+
+@pytest.mark.parametrize(
+    "place, keyword, rule",
+    [
+        (("properties", "q", "items"), "multipleOf", 0.5),
+        (("properties", "protocol", "allOf", 0, "then"), "maxProperties", 3),
+        (("properties", "protocol", "properties", "p", "additionalProperties"), "format", "double"),
+    ],
+)
+def test_schema_keyword_check_refuses_unimplemented_keywords(place, keyword, rule):
+    schema = copy.deepcopy(cli.CONFIG_SCHEMA)
+    node = schema
+    for key in place:
+        node = node[key]
+    node[keyword] = rule
+    with pytest.raises(ValueError, match="checker does not implement"):
+        cli.check_schema_keywords(schema)
