@@ -22,9 +22,13 @@ from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
 # Cutting planes stop once the best norm is within GAP_TOL (relative) of
 # the certified lower bound; a certificate cut whose plane part exceeds
-# KINK_TOL of the norm of its direction marks a kink.
+# KINK_TOL of the norm of its direction marks a kink.  Newton points need
+# end eigenvalues split by more than SIMPLE_TOL of the spread, and bring
+# probes once they promise a fall of less than PROBE_TOL of it.
 GAP_TOL = 1e-12
 KINK_TOL = 1e-2
+SIMPLE_TOL = 1e-9
+PROBE_TOL = 1e-8
 MAX_CUTS = 1000
 MAX_PIVOTS = 10000
 PIVOT_TOL = 1e-14
@@ -54,6 +58,10 @@ class ProcessFamily:
         # The exactly Hermitian parts: every real combination of them is
         # exactly Hermitian, so no per-call check is needed.
         self._stack = np.stack([0.5 * (gen.entries + gen.entries.conj().T) for gen in generators])
+        # The traceless parts: their combinations have the spread and
+        # eigenvectors of b^j X_j without the digits a large trace costs.
+        trace = np.trace(self._stack, axis1=1, axis2=2)
+        self._traceless = self._stack - trace[:, None, None] * np.eye(dim) / dim
         if name:
             self.kind = name
 
@@ -69,13 +77,14 @@ class ProcessFamily:
     def generators(self) -> tuple[HermitianOperator, ...]:
         return self._generators
 
-    def _combination(self, b) -> np.ndarray:
-        """b^j X_j, summed in generator order."""
+    def _combination(self, b, stack=None) -> np.ndarray:
+        """b^j X_j (over ``stack``, by default the generators), summed in generator order."""
+        stack = self._stack if stack is None else stack
         comps = _components(b)
         if comps.size != self.n_params:
             raise ArgumentError(f"direction length {comps.size} != parameter count {self.n_params}")
-        entries = np.zeros(self._stack.shape[1:], dtype=self._stack.dtype)
-        for coeff, gen in zip(comps, self._stack):
+        entries = np.zeros(stack.shape[1:], dtype=stack.dtype)
+        for coeff, gen in zip(comps, stack):
             entries += coeff * gen
         return entries
 
@@ -85,7 +94,7 @@ class ProcessFamily:
 
     def norm(self, b) -> float:
         """Process norm of the direction: spectral spread of its generator."""
-        eigs = np.linalg.eigvalsh(self._combination(b))
+        eigs = np.linalg.eigvalsh(self._combination(b, self._traceless))
         return float(eigs[-1] - eigs[0])
 
     def _blocks(self, states) -> np.ndarray:
@@ -270,13 +279,15 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     """Minimize the process norm over the plane of unit advance in q.
 
     Closed-form solutions cover the commuting and Bloch families.  The
-    partially commuting pair and custom families run Kelley's cutting
-    planes over the part of the constraint plane the process can see,
-    until the best norm found is within GAP_TOL (relative) of the lower
-    bound certified by the master LP's weights; the result carries that
-    ``gap``.  They raise UnboundedVarianceError for a target the process
-    cannot see, and ConvergenceError, carrying the best point as ``best``,
-    if MAX_CUTS cuts leave the gap open.
+    partially commuting pair and custom families run cutting planes over
+    the part of the constraint plane the process can see, until the best
+    norm found is within GAP_TOL (relative) of the lower bound certified
+    by the master LP's weights; the result carries that ``gap``.  Trial
+    points are Newton points of the spread, with probes about the last
+    one, where its end eigenvalues are simple, and Kelley's points
+    elsewhere.  They raise UnboundedVarianceError for a target the
+    process cannot see, and ConvergenceError, carrying the best point as
+    ``best``, if MAX_CUTS rounds of cuts leave the gap open.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -356,13 +367,54 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     return vt[1 + unseen.shape[1] :].T
 
 
-def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The norm at b and its cut g_j = <top|X_j|top> - <bottom|X_j|bottom>,
-    which satisfies g.b' <= norm(b') for every b', with equality at b."""
+    which satisfies g.b' <= norm(b') for every b', with equality at b; and
+    the eigendecomposition it came from."""
     eigs, vecs = np.linalg.eigh(np.tensordot(b, stack, axes=1))
     ends = vecs[:, [-1, 0]]
     expect = np.einsum("ak,jab,bk->jk", ends.conj(), stack, ends).real
-    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1]
+    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1], (eigs, vecs)
+
+
+def _newton_points(stack, step, center, g, eigs, vecs) -> list[np.ndarray] | None:
+    """The minimizer of the spread's quadratic model on the plane about
+    center, where g and (eigs, vecs) are the cut and spectrum there.
+
+    The model holds where the top and bottom eigenvalues are simple:
+    second-order perturbation theory gives the Hessian
+    H_ab = 2 Re sum_m <t|X_a|m><m|X_b|t> / (l_t - l_m) for the top t,
+    plus the mirrored sum for the bottom.  It is refused (None) unless
+    step^T H step is positive definite and the Newton step moves b^j X_j,
+    in Frobenius norm, by less than the gap between an end eigenvalue
+    and its neighbour.  Once the step promises less than PROBE_TOL of
+    the norm, the 2k probes d +- h L^-T e_i join it, with L L^T the
+    curvature on the plane and h^2 = GAP_TOL norm / 2: their cuts
+    surround the minimizer, so the LP's weights can close the gap from
+    cuts that each lose at most a quarter of GAP_TOL.
+    """
+    spread = eigs[-1] - eigs[0]
+    above, below = eigs[-1] - eigs[:-1], eigs[1:] - eigs[0]
+    split = min(above[-1], below[0])
+    if split <= SIMPLE_TOL * spread:
+        return None
+    rows = vecs[:, [-1, 0]].conj().T @ stack @ vecs
+    top, bottom = rows[:, 0, :-1], rows[:, 1, 1:]
+    hessian = 2.0 * ((top / above) @ top.conj().T + (bottom / below) @ bottom.conj().T).real
+    curvature = step.T @ hessian @ step
+    try:
+        chol = np.linalg.cholesky(curvature)
+    except np.linalg.LinAlgError:
+        return None
+    grad = step.T @ g
+    d = -np.linalg.solve(curvature, grad)
+    if np.linalg.norm(np.tensordot(step @ d, stack, axes=1)) > split:
+        return None
+    points = [center + step @ d]
+    if -0.5 * grad @ d <= PROBE_TOL * spread:
+        offsets = np.sqrt(0.5 * GAP_TOL * spread) * np.linalg.inv(chol)
+        points += [center + step @ (d + e) for e in np.vstack([offsets, -offsets])]
+    return points
 
 
 def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
@@ -394,7 +446,7 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
 
 
 def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
-    """Kelley's cutting planes on the visible plane, with a dual certificate.
+    """Cutting planes on the visible plane, with a dual certificate.
 
     The oracle works on the traceless generators, whose combinations have
     the same spread and eigenvectors as b^j X_j.  Points are
@@ -410,22 +462,26 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     norm from below on the whole plane, since its weights w satisfy
     sum_i w_i g_i = lower * q.  The loop stops when the best norm seen is
     within GAP_TOL of ``lower``.
+
+    The next points come from ``_newton_points`` while the last ones
+    improved on the best and its quadratic model holds; otherwise the
+    next point is Kelley's, the LP's minimizer -y.
     """
-    dim = family.dim
-    stack = family._stack - np.trace(family._stack, axis1=1, axis2=2)[:, None, None] * np.eye(dim) / dim
+    stack = family._traceless
     base = q / (q @ q)
     scale = np.linalg.norm(family._stack.reshape(q.size, -1), axis=1)
     step = _visible_plane(stack, scale, q) * np.linalg.norm(base)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
     cuts = np.zeros((q.size, 0))
-    radius, best, center, t, basis = 1.0, np.inf, base, np.zeros(k), None
+    radius, best, center, points, basis = 1.0, np.inf, base, [base], None
     for _ in range(MAX_CUTS):
-        b = center + step @ t
-        value, g = _cut(stack, b)
-        if value < best:
-            best, center = value, b
-        cuts = np.hstack([cuts, g[:, None], -g[:, None]])
+        improved = None
+        for b in points:
+            value, g, spectrum = _cut(stack, b)
+            if value < best:
+                best, center, slope, improved = value, b, g, spectrum
+            cuts = np.hstack([cuts, g[:, None], -g[:, None]])
         if basis is None:
             basis = np.concatenate([[2 * k], np.where(step.T @ g > 0, k, 0) + np.arange(k)])
         columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
@@ -437,7 +493,8 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
             break
         if boxed:
             radius *= 10.0
-        t = -y[1:]
+        newton = improved and _newton_points(stack, step, center, slope, *improved)
+        points = newton or [center - step @ y[1:]]
     else:
         raise ConvergenceError(
             f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} cuts",
@@ -452,7 +509,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):
         faces = _adjacent_faces(canonicalize(OneForm(q)))
-    norm = family.norm(center)
+    norm = best
     return NormMinimizer(
         vector=TangentVector(center),
         norm=norm,

@@ -76,7 +76,8 @@ def test_mutated_configs_never_exit_3(data):
         if data.draw(st.booleans(), label="drop"):
             del container[key]
         else:
-            container[key] = data.draw(VALUES, label="value")
+            # a copy, so a later mutation cannot reach into the strategy's own list or dict
+            container[key] = copy.deepcopy(data.draw(VALUES, label="value"))
     code, out = run(case["argv"], config)
     assert_well_formed(case["argv"], code, out)
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from qproc import (
 from qproc import families
 from qproc.operators import SIGMA_X, SIGMA_Z
 
-from conftest import random_traceless_hermitian
+from conftest import random_hermitian, random_traceless_hermitian
 
 
 def random_custom_family(rng, n_params=3, dim=4):
@@ -278,14 +280,77 @@ class TestMinimizeNorm:
         assert result.dual_norm**2 == pytest.approx(1.81 / scale**2, rel=1e-12)
 
     def test_cut_cap_raises_with_the_best_point(self, rng, monkeypatch):
+        # one round of cuts cannot close the gap: the first LP leans on its box
         family = random_custom_family(rng)
         q = np.array([1.0, -0.5, 0.3])
-        monkeypatch.setattr(families, "MAX_CUTS", 3)
+        monkeypatch.setattr(families, "MAX_CUTS", 1)
         with pytest.raises(ConvergenceError) as caught:
             minimize_norm(family, OneForm(q))
         best = caught.value.best
         assert isinstance(best, TangentVector)
         assert q @ best.components == pytest.approx(1.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("shift", [1e2, 1e6, 1e10])
+    def test_identity_shift_costs_no_digits(self, shift):
+        # the spread ignores a multiple of the identity; taken over the full
+        # generators it lost digits to it, and the gap reported the loss
+        rng = np.random.default_rng(3)
+        gens = [random_hermitian(rng, 4).entries + shift * (j + 1) * np.eye(4) for j in range(3)]
+        family = ProcessFamily([HermitianOperator(g) for g in gens])
+        result = minimize_norm(family, OneForm([1.0, -0.5, 0.3]))
+        eigs = np.linalg.eigvalsh(np.tensordot(result.vector.components, family._traceless, axes=1))
+        assert result.norm == pytest.approx(eigs[-1] - eigs[0], rel=1e-14)
+        assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+
+
+def _count_eigensolves(monkeypatch) -> list[int]:
+    """Count numpy eigen-solves called from qproc.families from now on."""
+    count = [0]
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "qproc.families":
+                count[0] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+class TestWork:
+    """Eigen-solves per ``minimize_norm``: Newton points on smooth minima."""
+
+    def test_custom_bound_problem(self, monkeypatch):
+        # three dense dim-4 generators and q, drawn as the custom-bound
+        # benchmark draws them; plain Kelley cutting planes took 56 solves
+        rng = np.random.default_rng(1)
+        gens = []
+        for _ in range(3):
+            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            gens.append(HermitianOperator(0.5 * (raw + raw.conj().T)))
+        q = rng.standard_normal(3)
+        count = _count_eigensolves(monkeypatch)
+        result = minimize_norm(ProcessFamily(gens), OneForm(q))
+        assert count[0] <= 20
+        assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+        assert not result.at_corner
+
+    def test_smooth_random_families(self, monkeypatch):
+        # end eigenvalues of complex Hermitian matrices cross in codimension
+        # three, so on a plane of at most two dimensions the minimum is smooth
+        rng = np.random.default_rng(12)
+        count = _count_eigensolves(monkeypatch)
+        for _ in range(8):
+            n, dim = int(rng.integers(2, 4)), int(rng.integers(3, 7))
+            family = _random_family(rng, "dense", n, dim)
+            q = np.round(rng.standard_normal(n), 2)
+            count[0] = 0
+            result = minimize_norm(family, OneForm(q))
+            assert count[0] <= 30
+            assert not result.at_corner
+            assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+            assert result.norm <= _grid_minimum(family, q) + 1e-9
 
 
 def _random_family(rng, kind, n, dim):
