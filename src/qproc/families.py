@@ -367,14 +367,14 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     return vt[1 + unseen.shape[1] :].T
 
 
-def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The norm at b and its cut g_j = <top|X_j|top> - <bottom|X_j|bottom>,
-    which satisfies g.b' <= norm(b') for every b', with equality at b; and
-    the eigendecomposition it came from."""
+    which satisfies g.b' <= norm(b') for every b', with equality at b; then
+    the eigenvalues and eigenvectors it came from."""
     eigs, vecs = np.linalg.eigh(np.tensordot(b, stack, axes=1))
     ends = vecs[:, [-1, 0]]
     expect = np.einsum("ak,jab,bk->jk", ends.conj(), stack, ends).real
-    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1], (eigs, vecs)
+    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1], eigs, vecs
 
 
 def _newton_points(stack, step, center, g, eigs, vecs) -> list[np.ndarray] | None:
@@ -476,11 +476,11 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     cuts = np.zeros((q.size, 0))
     radius, best, center, points, basis = 1.0, np.inf, base, [base], None
     for _ in range(MAX_CUTS):
-        improved = None
+        model = None
         for b in points:
-            value, g, spectrum = _cut(stack, b)
+            value, g, eigs, vecs = _cut(stack, b)
             if value < best:
-                best, center, slope, improved = value, b, g, spectrum
+                best, center, model = value, b, (g, eigs, vecs)
             cuts = np.hstack([cuts, g[:, None], -g[:, None]])
         if basis is None:
             basis = np.concatenate([[2 * k], np.where(step.T @ g > 0, k, 0) + np.arange(k)])
@@ -493,11 +493,11 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
             break
         if boxed:
             radius *= 10.0
-        newton = improved and _newton_points(stack, step, center, slope, *improved)
+        newton = model and _newton_points(stack, step, center, *model)
         points = newton or [center - step @ y[1:]]
     else:
         raise ConvergenceError(
-            f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} cuts",
+            f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} rounds of cuts",
             best=TangentVector(center),
         )
     # A kink shows as a certificate cut g whose part along the plane, a =
@@ -509,14 +509,13 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):
         faces = _adjacent_faces(canonicalize(OneForm(q)))
-    norm = best
     return NormMinimizer(
         vector=TangentVector(center),
-        norm=norm,
-        dual_norm=1.0 / norm,
+        norm=best,
+        dual_norm=1.0 / best,
         at_corner=at_corner,
         adjacent_faces=faces,
-        gap=max(norm - lower, 0.0),
+        gap=max(best - lower, 0.0),
     )
 
 
