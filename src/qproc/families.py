@@ -377,7 +377,9 @@ def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarra
     return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1], eigs, vecs
 
 
-def _newton_points(stack, step, center, g, eigs, vecs) -> list[np.ndarray] | None:
+def _newton_points(
+    stack: np.ndarray, step: np.ndarray, center: np.ndarray, g: np.ndarray, eigs: np.ndarray, vecs: np.ndarray
+) -> list[np.ndarray] | None:
     """The minimizer of the spread's quadratic model on the plane about
     center, where g and (eigs, vecs) are the cut and spectrum there.
 
