@@ -286,8 +286,9 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     points are Newton points of the spread, with probes about the last
     one, where its end eigenvalues are simple, and Kelley's points
     elsewhere.  They raise UnboundedVarianceError for a target the
-    process cannot see, and ConvergenceError, carrying the best point as
-    ``best``, if MAX_CUTS rounds of cuts leave the gap open.
+    process cannot see, and ConvergenceError if a solve is singular or
+    non-finite, or, carrying the best point as ``best``, if MAX_CUTS
+    rounds of cuts leave the gap open.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -307,7 +308,10 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
             at_corner=False,
         )
     else:
-        result = _numeric_minimizer(family, q)
+        try:
+            result = _numeric_minimizer(family, q)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"cutting planes met a singular or non-finite solve: {exc}") from exc
     advance = pair(dq, result.vector)
     if abs(advance - 1.0) > 1e-9:
         raise InvariantViolation(f"minimizer advances {advance!r} units of the target, not one")
@@ -387,9 +391,9 @@ def _newton_points(
     second-order perturbation theory gives the Hessian
     H_ab = 2 Re sum_m <t|X_a|m><m|X_b|t> / (l_t - l_m) for the top t,
     plus the mirrored sum for the bottom.  It is refused (None) unless
-    step^T H step is positive definite and the Newton step moves b^j X_j,
-    in Frobenius norm, by less than the gap between an end eigenvalue
-    and its neighbour.  Once the step promises less than PROBE_TOL of
+    step^T H step is positive definite, its solve regular, and the Newton
+    step moves b^j X_j, in Frobenius norm, by less than the gap between an
+    end eigenvalue and its neighbour (an overflowing move is refused).  Once the step promises less than PROBE_TOL of
     the norm, the 2k probes d +- h L^-T e_i join it, with L L^T the
     curvature on the plane and h^2 = GAP_TOL norm / 2: their cuts
     surround the minimizer, so the LP's weights can close the gap from
@@ -404,18 +408,20 @@ def _newton_points(
     top, bottom = rows[:, 0, :-1], rows[:, 1, 1:]
     hessian = 2.0 * ((top / above) @ top.conj().T + (bottom / below) @ bottom.conj().T).real
     curvature = step.T @ hessian @ step
+    grad = step.T @ g
     try:
         chol = np.linalg.cholesky(curvature)
+        d = -np.linalg.solve(curvature, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            move = np.linalg.norm(np.tensordot(step @ d, stack, axes=1))
+        if not move <= split:
+            return None
+        points = [center + step @ d]
+        if -0.5 * grad @ d <= PROBE_TOL * spread:
+            offsets = np.sqrt(0.5 * GAP_TOL * spread) * np.linalg.inv(chol)
+            points += [center + step @ (d + e) for e in np.vstack([offsets, -offsets])]
     except np.linalg.LinAlgError:
         return None
-    grad = step.T @ g
-    d = -np.linalg.solve(curvature, grad)
-    if np.linalg.norm(np.tensordot(step @ d, stack, axes=1)) > split:
-        return None
-    points = [center + step @ d]
-    if -0.5 * grad @ d <= PROBE_TOL * spread:
-        offsets = np.sqrt(0.5 * GAP_TOL * spread) * np.linalg.inv(chol)
-        points += [center + step @ (d + e) for e in np.vstack([offsets, -offsets])]
     return points
 
 

@@ -260,30 +260,15 @@ def hyperedge_protocol(w) -> Protocol:
     return Protocol(kind="hyperedge", branches=(branch,), family_dim=2 ** len(w))
 
 
-def corner_strategy(dq: OneForm) -> Protocol:
+def corner_protocol(dq: OneForm) -> Protocol:
     """Probabilistic mixture saturating the bound at a polytope vertex.
 
-    Requires the target in canonical shape 1 = q_1 >= |q_2| >= ... > 0.
-    The mixture runs the face adjacent to the vertex on each side, with
-    weights p_1 = (1 + |q_N|)/2 and p_k = (|q_{k-1}| - |q_k|)/2, which
-    reproduce the target exactly: dq = sum_k p_k dz(k).
-    """
-    comps = dq.components
-    if abs(comps[0] - 1.0) > 1e-12:
-        raise ArgumentError("canonical forms lead with coefficient +1")
-    mags = np.abs(comps)
-    if np.any(mags[1:] - mags[:-1] > 1e-12):
-        raise ArgumentError("canonical coefficients must not increase in magnitude")
-    if mags[-1] == 0.0:
-        raise ArgumentError("canonical forms have no zero coefficients; canonicalize first")
-    return corner_protocol(dq)
-
-
-def corner_protocol(dq: OneForm) -> Protocol:
-    """Corner strategy for an arbitrary target form.
-
-    Canonicalizes internally: zero coefficients become insensitive edge
-    slots, the branch strings come back in the original indexing, and the
+    For a canonical target 1 = q_1 >= |q_2| >= ... > 0 the mixture runs
+    the face adjacent to the vertex on each side, with weights
+    p_1 = (1 + |q_N|)/2 and p_k = (|q_{k-1}| - |q_k|)/2, which reproduce
+    the target exactly: dq = sum_k p_k dz(k).  Any other target is
+    canonicalized first: zero coefficients become insensitive edge slots,
+    the branch strings come back in the original indexing, and the
     estimator weights absorb the overall scale of the target.
     """
     canonical = canonicalize(dq)
@@ -380,11 +365,10 @@ def _zoo_distribution(weights, n_params: int | None) -> tuple[list[tuple[int, ..
     return strings, probs
 
 
-def _ancilla_cat_indices(signs: tuple[int, ...]) -> tuple[int, int, int]:
-    n = len(signs)
-    offset = (0 if signs[0] > 0 else 1) << n
+def _ancilla_cat_indices(signs: tuple[int, ...]) -> tuple[int, int]:
+    offset = (0 if signs[0] > 0 else 1) << len(signs)
     arr = np.array(signs, dtype=int)
-    return offset + _basis_index(arr), offset + _basis_index(-arr), 2 ** (n + 1)
+    return offset + _basis_index(arr), offset + _basis_index(-arr)
 
 
 def _zoo_basis(strings: list[tuple[int, ...]]) -> tuple[np.ndarray, list[str]]:
@@ -393,7 +377,7 @@ def _zoo_basis(strings: list[tuple[int, ...]]) -> tuple[np.ndarray, list[str]]:
     eye = np.eye(2 ** (n + 1), dtype=complex)
     columns, labels = [], []
     for signs in product((1, -1), repeat=n):
-        idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
+        idx_plus, idx_minus = _ancilla_cat_indices(signs)
         columns.append(_cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 1:])
         labels += [f"{SignString(signs)}:+", f"{SignString(signs)}:-"]
     return np.hstack(columns), labels
@@ -417,7 +401,7 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
         for signs, p in zip(strings, probs):
             if p < WEIGHT_FLOOR:
                 continue
-            idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
+            idx_plus, idx_minus = _ancilla_cat_indices(signs)
             branches.append(
                 _cat_pair_branch(
                     idx_plus,
@@ -434,7 +418,7 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
     if variant == "pure":
         amplitudes = np.zeros(dim, dtype=complex)
         for signs, p in zip(strings, probs):
-            idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
+            idx_plus, idx_minus = _ancilla_cat_indices(signs)
             amplitudes[idx_plus] += np.sqrt(p / 2)
             amplitudes[idx_minus] += np.sqrt(p / 2)
         fiducial = PureState(amplitudes / np.linalg.norm(amplitudes))
@@ -442,7 +426,7 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
         entries = np.zeros((dim, dim), dtype=complex)
         eye = np.eye(dim, dtype=complex)
         for signs, p in zip(strings, probs):
-            idx_plus, idx_minus, _ = _ancilla_cat_indices(signs)
+            idx_plus, idx_minus = _ancilla_cat_indices(signs)
             vec = _cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 0]
             entries += p * np.outer(vec, vec.conj())
         fiducial = DensityOperator(entries)

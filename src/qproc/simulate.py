@@ -17,7 +17,7 @@ simulation; version 1 keyed one stream per (seed, repetition, branch).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +29,6 @@ from .tangent import DEFAULT_RANK_TOL, FisherMatrix, OneForm, fisher_dual
 LINEAR_REGIME_WARNING = 0.3
 STREAM_VERSION = 2
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Measurement tallies for one branch of one simulated run."""
-
-    branch: int
-    counts: dict[str, int]
-    shots: int
-
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ArgumentError(f"counts sum to {total}, expected {self.shots}")
-        if any(c < 0 for c in self.counts.values()):
-            raise ArgumentError("counts must be nonnegative")
 
 
 def branch_rng(seed: int, branch: int) -> np.random.Generator:
@@ -68,86 +52,6 @@ def apportion_shots(weights, total: int) -> np.ndarray:
     return counts
 
 
-def _branch_counts(seed: int, repetitions: int, branch: int, shots: int, probs: np.ndarray) -> np.ndarray:
-    """Outcome counts of one branch in repetitions 0 .. repetitions-1, one
-    row each, drawn in sequence from the branch's keyed stream."""
-    return branch_rng(seed, branch).multinomial(shots, probs, size=repetitions)
-
-
-def _arcsine_readout(plus, shots):
-    """Per-branch MLE of the readout: arcsine of the clamped + frequency."""
-    return np.arcsin(np.clip(2.0 * (plus / shots) - 1.0, -1.0, 1.0))
-
-
-def _shot_plan(protocol: Protocol, family: ProcessFamily, theta_true, shots: int):
-    """The checked true parameter point and the per-branch shot counts;
-    warns when the point leaves the linearization regime."""
-    theta = np.asarray(theta_true, dtype=float).reshape(-1)
-    if theta.size != family.n_params:
-        raise ArgumentError("theta_true length does not match the family")
-    worst = float(np.max(np.abs(theta)))
-    if worst > LINEAR_REGIME_WARNING:
-        warnings.warn(
-            f"|theta| = {worst:.3g} rad is outside the linearization regime; "
-            "bounds and estimators are derived for small deviations",
-            stacklevel=3,
-        )
-    return theta, apportion_shots([branch.weight for branch in protocol.branches], shots)
-
-
-def simulate(
-    protocol: Protocol,
-    family: ProcessFamily,
-    theta_true,
-    shots: int,
-    seed: int,
-    repetition: int = 0,
-) -> list[OutcomeRecord]:
-    """One simulated run: apportion shots over branches deterministically,
-    then draw each branch's counts from its exact outcome distribution.
-
-    Run ``repetition`` is the same draw as row ``repetition`` of
-    :func:`sample_estimates`; reaching it draws the rows before it.
-    """
-    if repetition < 0:
-        raise ArgumentError("repetition must be nonnegative")
-    theta, per_branch = _shot_plan(protocol, family, theta_true, shots)
-    records = []
-    for index, branch in enumerate(protocol.branches):
-        n = int(per_branch[index])
-        probs = branch_distribution(branch, family, theta)
-        counts = _branch_counts(seed, repetition + 1, index, n, probs)[repetition]
-        records.append(
-            OutcomeRecord(
-                branch=index,
-                counts={label: int(c) for label, c in zip(branch.measurement.labels, counts)},
-                shots=n,
-            )
-        )
-    return records
-
-
-def estimate_q(records: list[OutcomeRecord], protocol: Protocol) -> float:
-    """Maximum-likelihood estimate of the target from branch tallies.
-
-    Each branch reads the sine of its linear combination; the arcsine of
-    the clamped outcome frequency is the per-branch MLE, and the target
-    estimate recombines them with the coefficients of the target's
-    decomposition over the branch readouts.
-    """
-    if len(records) != len(protocol.branches):
-        raise ArgumentError("record count does not match the protocol branches")
-    for record, branch in zip(records, protocol.branches):
-        if record.shots < 1:
-            raise EstimationError(f"branch {record.branch} received no shots")
-        if branch.readout_form is None or branch.estimator_weight is None:
-            raise EstimationError(f"branch {record.branch} has no readout to estimate")
-    plus = np.array([record.counts.get("+", 0) for record in records])
-    shots = np.array([record.shots for record in records])
-    coeffs = np.array([branch.estimator_weight for branch in protocol.branches])
-    return float(_arcsine_readout(plus, shots) @ coeffs)
-
-
 def sample_estimates(
     protocol: Protocol,
     family: ProcessFamily,
@@ -159,16 +63,30 @@ def sample_estimates(
 ):
     """Repeated runs of the estimator; returns the array of q estimates.
 
-    Branch outcome distributions are computed once; each branch then
-    draws all its repetitions in one call on its keyed stream.  With
+    Shots are apportioned over the branches by largest remainder, and each
+    branch's outcome distribution is computed once; the branch then draws
+    all its repetitions in one call on its keyed stream.  Each branch
+    reads the sine of its linear combination: the arcsine of the clamped
+    + frequency is the per-branch maximum-likelihood readout, and the q
+    estimate recombines the readouts with the estimator weights.  With
     ``return_parameter_estimates`` and as many branches as parameters, the
     per-branch readouts are also solved for full parameter estimates (for
     covariance checks).
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
-    theta, per_branch = _shot_plan(protocol, family, theta_true, shots)
+    theta = np.asarray(theta_true, dtype=float).reshape(-1)
+    if theta.size != family.n_params:
+        raise ArgumentError("theta_true length does not match the family")
+    worst = float(np.max(np.abs(theta)))
+    if worst > LINEAR_REGIME_WARNING:
+        warnings.warn(
+            f"|theta| = {worst:.3g} rad is outside the linearization regime; "
+            "bounds and estimators are derived for small deviations",
+            stacklevel=2,
+        )
     branches = protocol.branches
+    per_branch = apportion_shots([branch.weight for branch in branches], shots)
     if np.any(per_branch < 1):
         raise EstimationError("a weighted branch received no shots; increase the shot budget")
     for branch in branches:
@@ -179,9 +97,9 @@ def sample_estimates(
     coeffs = np.array([branch.estimator_weight for branch in branches])
 
     plus = np.empty((repetitions, len(branches)), dtype=int)
-    for b in range(len(branches)):
-        plus[:, b] = _branch_counts(seed, repetitions, b, int(per_branch[b]), distributions[b])[:, plus_index[b]]
-    s_hat = _arcsine_readout(plus, per_branch)
+    for b, (n, probs) in enumerate(zip(per_branch, distributions)):
+        plus[:, b] = branch_rng(seed, b).multinomial(int(n), probs, size=repetitions)[:, plus_index[b]]
+    s_hat = np.arcsin(np.clip(2.0 * (plus / per_branch) - 1.0, -1.0, 1.0))
     q_hats = s_hat @ coeffs
     if not return_parameter_estimates:
         return q_hats
@@ -194,24 +112,6 @@ def sample_estimates(
 
 # ---------------------------------------------------------------------------
 # Local debiasing (affine correction around the fiducial point).
-
-
-@dataclass(frozen=True)
-class BiasCorrection:
-    """Affine response of the raw estimator around the fiducial point."""
-
-    offset: np.ndarray
-    jacobian: np.ndarray
-    condition: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        offset = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        jacobian = np.atleast_2d(np.asarray(self.jacobian, dtype=float))
-        if jacobian.shape != (offset.size, offset.size):
-            raise ArgumentError("jacobian shape must match the offset length")
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "jacobian", jacobian)
-        object.__setattr__(self, "condition", float(np.linalg.cond(jacobian)))
 
 
 def debias(raw_mean_at_fiducial, jacobian, raw_estimates) -> np.ndarray:
@@ -239,12 +139,14 @@ def fit_bias_correction(
     shots: int,
     repetitions: int,
     seed: int,
-) -> BiasCorrection:
+) -> tuple[np.ndarray, np.ndarray]:
     """Calibrate the scalar estimator response by simulation.
 
-    The offset is the mean estimate at the fiducial point; the response
-    slope comes from a central difference across +/- the calibration
-    displacement.  Distinct seeds key the three calibration runs.
+    Returns the (offset, jacobian) pair that :func:`debias` takes: the
+    offset is the mean estimate at the fiducial point, and the 1x1
+    response slope comes from a central difference across +/- the
+    calibration displacement.  Distinct seeds key the three calibration
+    runs.
     """
     direction = np.asarray(direction, dtype=float).reshape(-1)
     q_shift = float(dq.components @ (magnitude * direction))
@@ -258,7 +160,7 @@ def fit_bias_correction(
         np.mean(sample_estimates(protocol, family, -magnitude * direction, shots, repetitions, seed + 2))
     )
     slope = (mean_plus - mean_minus) / (2.0 * q_shift)
-    return BiasCorrection(offset=np.array([mean0]), jacobian=np.array([[slope]]))
+    return np.array([mean0]), np.array([[slope]])
 
 
 def fit_bias_polynomial(q_values, mean_errors, stderrs) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ from qproc import (
     bloch_direction_grid,
     bloch_protocol,
     corner_protocol,
-    corner_strategy,
     debias,
     fisher_dual,
     fit_bias_correction,
@@ -106,7 +105,7 @@ def test_criterion_3_corner_saturation():
         n = int(RNG.integers(1, 7))
         dq = _random_canonical(n)
         family = PauliZFamily(n)
-        protocol = corner_strategy(dq)
+        protocol = corner_protocol(dq)
         fisher = protocol_fisher(protocol, family)
         minimizer = minimize_norm(family, dq)
         kiss = kissing_residual(fisher, minimizer.vector, family, dq)
@@ -280,7 +279,7 @@ def test_criterion_8_local_debiasing():
     dq = OneForm([1.0, 0.5])
     protocol = corner_protocol(dq)
     direction = np.array([1.0, 0.0])
-    correction = fit_bias_correction(
+    offset, jacobian = fit_bias_correction(
         protocol, family, dq, direction, magnitude=0.02, shots=10_000, repetitions=5000, seed=101
     )
     q_values, errors, stderrs = [], [], []
@@ -289,7 +288,7 @@ def test_criterion_8_local_debiasing():
             theta = sign * magnitude * direction
             q_true = float(dq.components @ theta)
             samples = sample_estimates(protocol, family, theta, 10_000, 3000, seed=500 + 10 * i + j)
-            corrected = debias(correction.offset, correction.jacobian, samples)
+            corrected = debias(offset, jacobian, samples)
             q_values.append(q_true)
             errors.append(float(np.mean(corrected)) - q_true)
             stderrs.append(float(np.std(corrected, ddof=1)) / np.sqrt(samples.size))

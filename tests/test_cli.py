@@ -1,8 +1,11 @@
 import copy
 import csv
+import importlib
 import json
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +86,45 @@ class TestBoundCommand:
         )
         assert code == 0
         assert payload["norm"] == pytest.approx(20.0, rel=1e-9)
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+
+
+def scaled_custom_config(name: str, entry: float) -> dict:
+    """The config of golden case ``name`` with generators[0][0][0][0] set to ``entry``."""
+    (case,) = [case for case in GOLDEN_CASES if case["name"] == name]
+    config = copy.deepcopy(case["config"])
+    config["family"]["generators"][0][0][0][0] = entry
+    return config
+
+
+class TestLargeGeneratorEntries:
+    # a singular Newton solve once exited 3, and the trust-region test
+    # overflowed with RuntimeWarnings on stderr
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "name, entry, norm, rel",
+        [
+            ("bound-custom-3", 1e10, 2.39439959006, 1e-9),
+            ("bound-custom-3", 1e12, 2.39439959006, 1e-9),
+            ("bound-custom-2", 1e100, 2.5, 1e-12),
+            ("bound-custom-2", 1e150, 2.5, 1e-12),
+        ],
+    )
+    def test_bound_is_found_without_warnings(self, tmp_path, name, entry, norm, rel):
+        code, payload = run_json(tmp_path, "bound", scaled_custom_config(name, entry))
+        assert code == 0
+        assert payload["norm"] == pytest.approx(norm, rel=rel)
+
+    @pytest.mark.parametrize("entry", [1e15, 1e50])
+    def test_unsolved_scale_exits_2_not_3(self, tmp_path, capsys, entry):
+        # at 1e15 the master LP still overflows on the way to the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["bound", write_config(tmp_path, scaled_custom_config("bound-custom-3", entry))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
 
 
 class TestProtocolCommand:
@@ -496,6 +538,16 @@ def modules_loaded_by_cli(package: str) -> str:
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+@pytest.mark.parametrize(
+    "name", ["cli", "errors", "families", "operators", "protocols", "qfisher", "simulate", "tangent"]
+)
+def test_submodule_imports_as_a_module(name):
+    # `import qproc.<name> as m` binds the package attribute <name>, which
+    # a re-exported function of the same name would shadow
+    module = importlib.import_module(f"qproc.{name}")
+    assert getattr(sys.modules["qproc"], name) is module
 
 
 def test_cli_imports_no_scipy():

@@ -22,7 +22,6 @@ from qproc import (
     bloch_protocol,
     branch_distribution,
     corner_protocol,
-    corner_strategy,
     hyperedge_protocol,
     hyperface_protocol,
     kissing_residual,
@@ -143,7 +142,7 @@ class TestParity:
 
 class TestCornerStrategy:
     def test_two_parameter_weights(self):
-        protocol = corner_strategy(OneForm([1.0, 0.5]))
+        protocol = corner_protocol(OneForm([1.0, 0.5]))
         assert [b.weight for b in protocol.branches] == [0.75, 0.25]
         assert [str(b.sign_string) for b in protocol.branches] == ["++", "+-"]
         fisher = protocol_fisher(protocol, PauliZFamily(2))
@@ -151,7 +150,7 @@ class TestCornerStrategy:
 
     def test_five_parameter_weights(self):
         dq = OneForm([1.0, 4 / 5, 2 / 3, -1 / 2, 1 / 4])
-        protocol = corner_strategy(dq)
+        protocol = corner_protocol(dq)
         weights = [b.weight for b in protocol.branches]
         assert np.allclose(weights, [0.625, 0.1, 1 / 15, 1 / 12, 0.125])
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
@@ -159,20 +158,14 @@ class TestCornerStrategy:
         assert str(protocol.branches[1].sign_string) == "+--+-"
 
     def test_tie_degenerates_to_single_face(self):
-        protocol = corner_strategy(OneForm([1.0, 1.0]))
+        protocol = corner_protocol(OneForm([1.0, 1.0]))
         assert len(protocol.branches) == 1
         assert str(protocol.branches[0].sign_string) == "++"
-
-    def test_non_canonical_rejected(self):
-        with pytest.raises(ArgumentError):
-            corner_strategy(OneForm([0.5, 1.0]))
-        with pytest.raises(ArgumentError):
-            corner_strategy(OneForm([1.0, 0.0]))
 
     def test_saturates_kissing_condition(self):
         family = PauliZFamily(3)
         dq = OneForm([1.0, 2 / 3, 1 / 3])
-        protocol = corner_strategy(dq)
+        protocol = corner_protocol(dq)
         fisher = protocol_fisher(protocol, family)
         result = minimize_norm(family, dq)
         assert kissing_residual(fisher, result.vector, family, dq) < 1e-9
@@ -429,7 +422,7 @@ class TestProtocolFisher:
     def test_central_matches_exact(self, rng):
         family = PauliZFamily(3)
         dq = OneForm([1.0, 0.7, 0.2])
-        protocol = corner_strategy(dq)
+        protocol = corner_protocol(dq)
         exact = protocol_fisher(protocol, family, derivative="exact")
         central = protocol_fisher(protocol, family, derivative="central")
         assert np.max(np.abs(exact.entries - central.entries)) < 1e-7
@@ -475,7 +468,7 @@ class TestClosedFormsAgainstBothDerivativeModes:
                 np.outer([1, 0, -1, 0], [1, 0, -1, 0]).astype(float),
             ),
             (
-                lambda: corner_strategy(OneForm([1.0, 0.6, 0.2])),
+                lambda: corner_protocol(OneForm([1.0, 0.6, 0.2])),
                 PauliZFamily(3),
                 None,  # filled below from the mixture weights
             ),
@@ -566,7 +559,7 @@ class TestOptimalProtocolDispatch:
 
 class TestSerialization:
     def test_round_trip_keys(self):
-        protocol = corner_strategy(OneForm([1.0, 0.5]))
+        protocol = corner_protocol(OneForm([1.0, 0.5]))
         payload = protocol.to_dict()
         assert payload["kind"] == "corner"
         assert len(payload["branches"]) == 2

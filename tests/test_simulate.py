@@ -7,25 +7,48 @@ from hypothesis import strategies as st
 
 from qproc import (
     ArgumentError,
-    BiasCorrection,
     DegenerateModelError,
     EstimationError,
     OneForm,
-    OutcomeRecord,
     PauliZFamily,
     apportion_shots,
+    branch_distribution,
     branch_rng,
     corner_protocol,
     debias,
-    estimate_q,
     fit_bias_correction,
     fit_bias_polynomial,
     hyperface_protocol,
     report,
     sample_estimates,
-    simulate,
     zoo_protocol,
 )
+
+
+def plus_frequency(protocol, family, theta, shots, seed):
+    """The + frequency of one run of a one-branch protocol, read back from
+    its q estimate w arcsin(2 f - 1)."""
+    (q_hat,) = sample_estimates(protocol, family, theta, shots, repetitions=1, seed=seed)
+    return (1.0 + np.sin(q_hat / protocol.branches[0].estimator_weight)) / 2.0
+
+
+class FixedDraws:
+    """A stand-in branch stream whose every draw is the same tally."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def multinomial(self, shots, probs, size):
+        return np.tile(self.counts, (size, 1))
+
+
+def estimate_from_counts(monkeypatch, protocol, family, counts):
+    """The q estimate of one run of a one-branch protocol whose branch
+    tallies ``counts`` (label -> count)."""
+    row = np.array([counts.get(label, 0) for label in protocol.branches[0].measurement.labels])
+    monkeypatch.setattr(importlib.import_module("qproc.simulate"), "branch_rng", lambda seed, b: FixedDraws(row))
+    (q_hat,) = sample_estimates(protocol, family, np.zeros(family.n_params), int(row.sum()), 1, seed=0)
+    return q_hat
 
 
 class TestApportionment:
@@ -54,9 +77,9 @@ class TestDeterminism:
     def test_identical_runs(self):
         protocol = corner_protocol(OneForm([1.0, 0.5]))
         family = PauliZFamily(2)
-        first = simulate(protocol, family, [0.0, 0.0], shots=1000, seed=7)
-        second = simulate(protocol, family, [0.0, 0.0], shots=1000, seed=7)
-        assert [r.counts for r in first] == [r.counts for r in second]
+        first = sample_estimates(protocol, family, [0.0, 0.0], 1000, 1, seed=7)
+        second = sample_estimates(protocol, family, [0.0, 0.0], 1000, 1, seed=7)
+        assert np.array_equal(first, second)
 
     def test_streams_independent_of_order(self):
         # drawing branch 1 before branch 0 reads the same keyed streams
@@ -68,9 +91,9 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         protocol = corner_protocol(OneForm([1.0, 0.5]))
         family = PauliZFamily(2)
-        a = simulate(protocol, family, [0.0, 0.0], shots=1000, seed=1)
-        b = simulate(protocol, family, [0.0, 0.0], shots=1000, seed=2)
-        assert [r.counts for r in a] != [r.counts for r in b]
+        a = sample_estimates(protocol, family, [0.0, 0.0], 1000, 1, seed=1)
+        b = sample_estimates(protocol, family, [0.0, 0.0], 1000, 1, seed=2)
+        assert not np.array_equal(a, b)
 
     def test_sample_estimates_reproducible(self):
         protocol = corner_protocol(OneForm([1.0, 0.5]))
@@ -103,59 +126,45 @@ class TestDeterminism:
 class TestSimulate:
     def test_fiducial_point_splits_evenly(self):
         protocol = hyperface_protocol([1, 1])
-        family = PauliZFamily(2)
-        records = simulate(protocol, family, [0.0, 0.0], shots=200_000, seed=5)
-        frequency = records[0].counts["+"] / records[0].shots
+        frequency = plus_frequency(protocol, PauliZFamily(2), [0.0, 0.0], shots=200_000, seed=5)
         assert frequency == pytest.approx(0.5, abs=0.005)
 
     def test_pi_over_six_readout(self):
         protocol = hyperface_protocol([1, 1])
-        family = PauliZFamily(2)
-        records = simulate(protocol, family, [np.pi / 12, np.pi / 12], shots=200_000, seed=5)
-        frequency = records[0].counts["+"] / records[0].shots
+        frequency = plus_frequency(protocol, PauliZFamily(2), [np.pi / 12, np.pi / 12], shots=200_000, seed=5)
         assert frequency == pytest.approx(0.75, abs=0.005)
 
     def test_apportionment_is_deterministic(self):
         protocol = corner_protocol(OneForm([1.0, 0.5]))
-        family = PauliZFamily(2)
-        records = simulate(protocol, family, [0.0, 0.0], shots=1000, seed=0)
-        assert [r.shots for r in records] == [750, 250]
+        assert apportion_shots([b.weight for b in protocol.branches], 1000).tolist() == [750, 250]
 
     def test_warns_outside_linear_regime(self):
         protocol = hyperface_protocol([1])
         family = PauliZFamily(1)
         with pytest.warns(UserWarning, match="linearization"):
-            simulate(protocol, family, [0.5], shots=10, seed=0)
+            sample_estimates(protocol, family, [0.5], shots=10, repetitions=1, seed=0)
 
     def test_wrong_theta_length(self):
         protocol = hyperface_protocol([1, 1])
         with pytest.raises(ArgumentError):
-            simulate(protocol, PauliZFamily(2), [0.0], shots=10, seed=0)
+            sample_estimates(protocol, PauliZFamily(2), [0.0], shots=10, repetitions=1, seed=0)
 
     def test_negative_repetition_rejected(self):
         protocol = hyperface_protocol([1, 1])
         with pytest.raises(ArgumentError):
-            simulate(protocol, PauliZFamily(2), [0.0, 0.0], shots=10, seed=0, repetition=-1)
+            sample_estimates(protocol, PauliZFamily(2), [0.0, 0.0], shots=10, repetitions=-1, seed=0)
 
 
 class TestEstimateQ:
-    def test_balanced_counts_give_zero(self):
+    def test_balanced_counts_give_zero(self, monkeypatch):
         protocol = hyperface_protocol([1, 1])
-        labels = protocol.branches[0].measurement.labels
-        counts = {label: 0 for label in labels}
-        counts["+"] = 50
-        counts["-"] = 50
-        records = [OutcomeRecord(branch=0, counts=counts, shots=100)]
-        assert estimate_q(records, protocol) == pytest.approx(0.0)
+        q_hat = estimate_from_counts(monkeypatch, protocol, PauliZFamily(2), {"+": 50, "-": 50})
+        assert q_hat == pytest.approx(0.0)
 
-    def test_single_branch_arcsine(self):
+    def test_single_branch_arcsine(self, monkeypatch):
         protocol = hyperface_protocol([1, 1])
-        labels = protocol.branches[0].measurement.labels
-        counts = {label: 0 for label in labels}
-        counts["+"] = 75
-        counts["-"] = 25
-        records = [OutcomeRecord(branch=0, counts=counts, shots=100)]
-        assert estimate_q(records, protocol) == pytest.approx(np.pi / 6)
+        q_hat = estimate_from_counts(monkeypatch, protocol, PauliZFamily(2), {"+": 75, "-": 25})
+        assert q_hat == pytest.approx(np.pi / 6)
 
     def test_corner_estimator_tracks_target(self):
         family = PauliZFamily(2)
@@ -167,18 +176,24 @@ class TestEstimateQ:
         assert np.mean(samples) == pytest.approx(delta, abs=4 * stderr)
 
     def test_empty_branch_rejected(self):
+        # one shot over weights 0.75 and 0.25 leaves the second branch empty
         protocol = corner_protocol(OneForm([1.0, 0.5]))
-        labels0 = protocol.branches[0].measurement.labels
-        records = [
-            OutcomeRecord(branch=0, counts={label: (10 if label == "+" else 0) for label in labels0}, shots=10),
-            OutcomeRecord(branch=1, counts={label: 0 for label in protocol.branches[1].measurement.labels}, shots=0),
-        ]
         with pytest.raises(EstimationError):
-            estimate_q(records, protocol)
+            sample_estimates(protocol, PauliZFamily(2), [0.0, 0.0], shots=1, repetitions=1, seed=0)
 
-    def test_outcome_record_validates_totals(self):
-        with pytest.raises(ArgumentError):
-            OutcomeRecord(branch=0, counts={"+": 3, "-": 3}, shots=5)
+
+def one_run(protocol, family, theta, shots, seed, repetition):
+    """Row ``repetition`` of the batch, drawn by hand: the repetition-th
+    draw of each branch's keyed stream, read out by arcsine and
+    recombined with the estimator weights."""
+    per_branch = apportion_shots([branch.weight for branch in protocol.branches], shots)
+    readouts = []
+    for index, branch in enumerate(protocol.branches):
+        probs = branch_distribution(branch, family, np.asarray(theta, dtype=float))
+        counts = branch_rng(seed, index).multinomial(per_branch[index], probs, size=repetition + 1)[repetition]
+        plus = counts[branch.measurement.labels.index("+")]
+        readouts.append(np.arcsin(np.clip(2.0 * (plus / per_branch[index]) - 1.0, -1.0, 1.0)))
+    return float(np.array(readouts) @ np.array([branch.estimator_weight for branch in protocol.branches]))
 
 
 class TestSamplingPathsAgree:
@@ -191,12 +206,11 @@ class TestSamplingPathsAgree:
         ],
     )
     def test_simulate_then_estimate_matches_batch(self, protocol, theta):
+        # pins the stream layout: repetition r is the r-th draw of each
+        # (seed, branch) stream, whatever the batching
         family = PauliZFamily(3)
         batch = sample_estimates(protocol, family, theta, shots=600, repetitions=30, seed=5)
-        one_by_one = [
-            estimate_q(simulate(protocol, family, theta, shots=600, seed=5, repetition=r), protocol)
-            for r in range(batch.size)
-        ]
+        one_by_one = [one_run(protocol, family, theta, shots=600, seed=5, repetition=r) for r in range(batch.size)]
         np.testing.assert_allclose(one_by_one, batch, rtol=1e-12, atol=0)
 
 
@@ -238,15 +252,15 @@ class TestDebias:
         family = PauliZFamily(2)
         dq = OneForm([1.0, 0.5])
         protocol = corner_protocol(dq)
-        correction = fit_bias_correction(
+        offset, jacobian = fit_bias_correction(
             protocol, family, dq, direction=[1.0, 0.0], magnitude=0.05, shots=10_000, repetitions=2000, seed=21
         )
-        assert correction.jacobian[0, 0] == pytest.approx(1.0, abs=0.01)
-        assert abs(correction.offset[0]) < 1e-3
+        assert jacobian[0, 0] == pytest.approx(1.0, abs=0.01)
+        assert abs(offset[0]) < 1e-3
 
     def test_bias_correction_validates_shapes(self):
         with pytest.raises(ArgumentError):
-            BiasCorrection(offset=np.zeros(2), jacobian=np.eye(3))
+            debias(np.zeros(2), np.eye(3), np.zeros((5, 2)))
 
 
 class TestReport:
