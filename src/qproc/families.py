@@ -432,6 +432,8 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
     Bland's rule (lowest entering index, then lowest leaving column) rules
     out cycling.  Returns the optimal basis, its weights x and the
     multipliers y, which solve the LP dual min y_0 s.t. columns^T y >= costs.
+    A solve that overflows raises ConvergenceError before the reduced
+    costs are formed from it.
     """
     rhs = np.zeros(columns.shape[0])
     rhs[0] = 1.0
@@ -439,6 +441,8 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
         square = columns[:, basis]
         x = np.linalg.solve(square, rhs)
         y = np.linalg.solve(square.T, costs[basis])
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ConvergenceError("the master LP met a non-finite solve")
         reduced = costs - y @ columns
         reduced[basis] = 0.0
         # the rounding error of a reduced cost scales with the terms it sums

@@ -6,12 +6,14 @@ affine bias correction, and compares the empirical variance against the
 dual-norm bound and the Cramer-Rao matrix inequality.
 
 Randomness is counter-based: every (seed, branch) pair keys its own
-Philox stream, and repetition r reads the r-th multinomial draw of it.
-Results are bit-identical regardless of the order in which branches are
-drawn, and prefix-stable in the repetition index: the first r
-repetitions of a longer run are the r repetitions of a shorter one.
-``STREAM_VERSION`` names this layout and is reported with every
-simulation; version 1 keyed one stream per (seed, repetition, branch).
+Philox stream, and repetition r reads the r-th binomial draw of it, the
+branch's + tally.  Results are bit-identical regardless of the order in
+which branches are drawn, and prefix-stable in the repetition index: the
+first r repetitions of a longer run are the r repetitions of a shorter
+one.  ``STREAM_VERSION`` names this layout and is reported with every
+simulation; version 2 drew one multinomial tally over all outcomes per
+(seed, branch), and version 1 keyed one stream per (seed, repetition,
+branch).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .protocols import Protocol, branch_distribution
 from .tangent import DEFAULT_RANK_TOL, FisherMatrix, OneForm, fisher_dual
 
 LINEAR_REGIME_WARNING = 0.3
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 _MASK64 = (1 << 64) - 1
 
 
@@ -64,14 +66,15 @@ def sample_estimates(
     """Repeated runs of the estimator; returns the array of q estimates.
 
     Shots are apportioned over the branches by largest remainder, and each
-    branch's outcome distribution is computed once; the branch then draws
-    all its repetitions in one call on its keyed stream.  Each branch
-    reads the sine of its linear combination: the arcsine of the clamped
-    + frequency is the per-branch maximum-likelihood readout, and the q
-    estimate recombines the readouts with the estimator weights.  With
-    ``return_parameter_estimates`` and as many branches as parameters, the
-    per-branch readouts are also solved for full parameter estimates (for
-    covariance checks).
+    branch's outcome distribution is computed once.  The estimator reads
+    only the + tally, whose law is Binomial(n, p+), so each branch draws
+    that tally for all its repetitions in one binomial call on its keyed
+    stream.  Each branch reads the sine of its linear combination: the
+    arcsine of the clamped + frequency is the per-branch
+    maximum-likelihood readout, and the q estimate recombines the readouts
+    with the estimator weights.  With ``return_parameter_estimates`` and as
+    many branches as parameters, the per-branch readouts are also solved
+    for full parameter estimates (for covariance checks).
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
@@ -92,13 +95,14 @@ def sample_estimates(
     for branch in branches:
         if branch.readout_form is None or branch.estimator_weight is None:
             raise EstimationError("every branch needs a readout to run the estimator")
-    distributions = [branch_distribution(branch, family, theta) for branch in branches]
-    plus_index = [branch.measurement.labels.index("+") for branch in branches]
+    p_plus = [
+        branch_distribution(branch, family, theta)[branch.measurement.labels.index("+")] for branch in branches
+    ]
     coeffs = np.array([branch.estimator_weight for branch in branches])
 
     plus = np.empty((repetitions, len(branches)), dtype=int)
-    for b, (n, probs) in enumerate(zip(per_branch, distributions)):
-        plus[:, b] = branch_rng(seed, b).multinomial(int(n), probs, size=repetitions)[:, plus_index[b]]
+    for b, (n, p) in enumerate(zip(per_branch, p_plus)):
+        plus[:, b] = branch_rng(seed, b).binomial(int(n), p, size=repetitions)
     s_hat = np.arcsin(np.clip(2.0 * (plus / per_branch) - 1.0, -1.0, 1.0))
     q_hats = s_hat @ coeffs
     if not return_parameter_estimates:

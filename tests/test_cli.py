@@ -119,12 +119,16 @@ class TestLargeGeneratorEntries:
 
     @pytest.mark.parametrize("entry", [1e15, 1e50])
     def test_unsolved_scale_exits_2_not_3(self, tmp_path, capsys, entry):
-        # at 1e15 the master LP still overflows on the way to the refusal
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # at 1e15 the master LP's solves overflow; it once formed reduced
+        # costs from them and printed five RuntimeWarnings before refusing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["bound", write_config(tmp_path, scaled_custom_config("bound-custom-3", entry))])
         assert code == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "ConvergenceError"
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "ConvergenceError"
+        assert [str(w.message) for w in caught] == []
+        assert err == ""
 
 
 class TestProtocolCommand:

@@ -33,21 +33,21 @@ def plus_frequency(protocol, family, theta, shots, seed):
 
 
 class FixedDraws:
-    """A stand-in branch stream whose every draw is the same tally."""
+    """A stand-in branch stream whose every draw is the same + tally."""
 
-    def __init__(self, counts):
-        self.counts = counts
+    def __init__(self, plus):
+        self.plus = plus
 
-    def multinomial(self, shots, probs, size):
-        return np.tile(self.counts, (size, 1))
+    def binomial(self, shots, p, size):
+        return np.full(size, self.plus)
 
 
 def estimate_from_counts(monkeypatch, protocol, family, counts):
     """The q estimate of one run of a one-branch protocol whose branch
     tallies ``counts`` (label -> count)."""
-    row = np.array([counts.get(label, 0) for label in protocol.branches[0].measurement.labels])
-    monkeypatch.setattr(importlib.import_module("qproc.simulate"), "branch_rng", lambda seed, b: FixedDraws(row))
-    (q_hat,) = sample_estimates(protocol, family, np.zeros(family.n_params), int(row.sum()), 1, seed=0)
+    stub = FixedDraws(counts.get("+", 0))
+    monkeypatch.setattr(importlib.import_module("qproc.simulate"), "branch_rng", lambda seed, b: stub)
+    (q_hat,) = sample_estimates(protocol, family, np.zeros(family.n_params), sum(counts.values()), 1, seed=0)
     return q_hat
 
 
@@ -83,10 +83,19 @@ class TestDeterminism:
 
     def test_streams_independent_of_order(self):
         # drawing branch 1 before branch 0 reads the same keyed streams
-        probs = np.array([0.5, 0.5])
-        forward = [branch_rng(3, b).multinomial(100, probs).tolist() for b in (0, 1)]
-        backward = [branch_rng(3, b).multinomial(100, probs).tolist() for b in (1, 0)]
+        forward = [branch_rng(3, b).binomial(100, 0.5, size=4).tolist() for b in (0, 1)]
+        backward = [branch_rng(3, b).binomial(100, 0.5, size=4).tolist() for b in (1, 0)]
         assert forward == backward[::-1]
+
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.97, 1.0])
+    @pytest.mark.parametrize("shots", [7, 10_000])
+    def test_binomial_is_the_first_multinomial_column(self, p, shots):
+        # the + tally drawn alone equals the + column of a two-outcome
+        # tally with + first, draw for draw on the same stream; 7 shots
+        # take numpy's inversion sampler, 10k its BTPE sampler
+        binomial = branch_rng(5, 2).binomial(shots, p, size=200)
+        multinomial = branch_rng(5, 2).multinomial(shots, [p, 1.0 - p], size=200)
+        assert np.array_equal(binomial, multinomial[:, 0])
 
     def test_different_seeds_differ(self):
         protocol = corner_protocol(OneForm([1.0, 0.5]))
@@ -184,14 +193,14 @@ class TestEstimateQ:
 
 def one_run(protocol, family, theta, shots, seed, repetition):
     """Row ``repetition`` of the batch, drawn by hand: the repetition-th
-    draw of each branch's keyed stream, read out by arcsine and
-    recombined with the estimator weights."""
+    binomial + tally of each branch's keyed stream, read out by arcsine
+    and recombined with the estimator weights."""
     per_branch = apportion_shots([branch.weight for branch in protocol.branches], shots)
     readouts = []
     for index, branch in enumerate(protocol.branches):
         probs = branch_distribution(branch, family, np.asarray(theta, dtype=float))
-        counts = branch_rng(seed, index).multinomial(per_branch[index], probs, size=repetition + 1)[repetition]
-        plus = counts[branch.measurement.labels.index("+")]
+        p_plus = probs[branch.measurement.labels.index("+")]
+        plus = branch_rng(seed, index).binomial(per_branch[index], p_plus, size=repetition + 1)[repetition]
         readouts.append(np.arcsin(np.clip(2.0 * (plus / per_branch[index]) - 1.0, -1.0, 1.0)))
     return float(np.array(readouts) @ np.array([branch.estimator_weight for branch in protocol.branches]))
 
