@@ -75,11 +75,6 @@ class HermitianOperator:
         """Eigenvalues (ascending) and an orthonormal eigenvector matrix."""
         return np.linalg.eigh(self.entries)
 
-    def expectation(self, state: "PureState | DensityOperator") -> float:
-        if isinstance(state, PureState):
-            return float(np.real(np.vdot(state.amplitudes, self.entries @ state.amplitudes)))
-        return float(np.real(np.trace(self.entries @ state.entries)))
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -17,7 +17,6 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -43,11 +42,12 @@ from .operators import (
 )
 # DEFAULT_P_FLOOR, the probability floor protocol_fisher applies, is
 # re-exported for callers that report it.
-from .qfisher import DEFAULT_P_FLOOR, MeasurementModel, classical_fisher, qubit_basis  # noqa: F401
+from .qfisher import DEFAULT_P_FLOOR, classical_fisher, qubit_basis  # noqa: F401
 from .tangent import FisherMatrix, OneForm, TangentVector, canonicalize, pair
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_FLOOR = 1e-15
+DEFAULT_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -482,40 +482,40 @@ def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndar
     return outcome_distribution(branch.measurement, columns)
 
 
-def _branch_model(branch: Branch, family: ProcessFamily, derivative: str) -> MeasurementModel:
-    """Born-rule measurement model of one branch, for :func:`classical_fisher`.
-
-    The exact model holds the unevolved Born vector and its derivatives,
-    from the fiducial's columns psi_k and their derivatives -i X_j psi_k,
-    so it answers at the fiducial point only.
-    """
-    if derivative == "central":
-        return MeasurementModel(partial(branch_distribution, branch, family))
-    if derivative != "exact":
-        raise ArgumentError(f"unknown derivative mode {derivative!r}")
-    columns = branch.fiducial.columns()
-    probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
-    return MeasurementModel(lambda theta: probs, jacobian=lambda theta: jac)
-
-
 def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str = "exact") -> FisherMatrix:
     """Information matrix of a protocol at the fiducial point.
 
-    Per branch the Born probabilities are differentiated, then the
-    branch matrices are mixed with the branch weights.  The "exact" mode
-    differentiates the evolved state directly (the derivative of
-    exp(-i t X) psi at t = 0 is -i X psi); "central" uses
-    central differences with ``DEFAULT_STEP`` as an independent
-    cross-check.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
+    Per branch the Born vector and its Jacobian go to
+    :func:`classical_fisher`, then the branch matrices are mixed with the
+    branch weights.  The "exact" mode differentiates the evolved state
+    directly: the derivative of exp(-i t X) psi at t = 0 is -i X psi, so
+    the fiducial's columns and their images -i X_j psi_k give the exact
+    Jacobian.  The "central" mode is an independent cross-check: it
+    differences :func:`branch_distribution` at +/- ``DEFAULT_STEP`` along
+    each parameter.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
     """
     if family.dim != protocol.family_dim:
         raise ArgumentError(
             f"protocol built for dimension {protocol.family_dim}, family has {family.dim}"
         )
-    total = np.zeros((family.n_params, family.n_params))
+    if derivative not in ("exact", "central"):
+        raise ArgumentError(f"unknown derivative mode {derivative!r}")
+    n = family.n_params
+    total = np.zeros((n, n))
     for branch in protocol.branches:
-        model = _branch_model(branch, family, derivative)
-        total += branch.weight * classical_fisher(model, family.n_params).entries
+        if derivative == "exact":
+            columns = branch.fiducial.columns()
+            probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
+        else:
+            probs = branch_distribution(branch, family, np.zeros(n))
+            jac = np.column_stack(
+                [
+                    (branch_distribution(branch, family, shift) - branch_distribution(branch, family, -shift))
+                    / (2 * DEFAULT_STEP)
+                    for shift in DEFAULT_STEP * np.eye(n)
+                ]
+            )
+        total += branch.weight * classical_fisher(probs, jac).entries
     return FisherMatrix(0.5 * (total + total.T))
 
 

@@ -1,8 +1,8 @@
 """Quantum side of the bound chain.
 
 Symmetric-logarithmic-derivative solve, quantum Fisher information for
-pure and mixed states, classical Fisher matrices from a measurement
-model, and verification of the ordering
+pure and mixed states, the classical Fisher matrix of an outcome
+distribution given with its derivatives, and verification of the ordering
 
     F_bb  <=  Q_bb  <=  (spectral spread of the generator)^2.
 
@@ -14,7 +14,6 @@ bound empirically rather than by citation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .tangent import FisherMatrix
 SLD_TRACE_TOL = 1e-10
 SLD_RESIDUAL_TOL = 1e-9
 SLD_EIGENVALUE_CUTOFF = 1e-10
-DEFAULT_STEP = 1e-5
 DEFAULT_P_FLOOR = 1e-12
 CHAIN_TOL = 1e-9
 
@@ -102,71 +100,30 @@ def qfi_from_sld(rho: DensityOperator, sld_operator: HermitianOperator) -> float
     return float(np.real(np.trace(rho.entries @ l_entries @ l_entries)))
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Parametrized outcome distribution p(x | theta).
+def classical_fisher(probs, jacobian) -> FisherMatrix:
+    """Fisher matrix sum_x (d_j p)(d_k p)/p of an outcome distribution.
 
-    ``probabilities`` maps a parameter vector to the outcome
-    distribution.  When ``jacobian`` is supplied it must return the
-    (n_outcomes, n_params) array of derivatives; otherwise central
-    differences with ``DEFAULT_STEP`` are used.
-    """
-
-    probabilities: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def distribution(self, theta: np.ndarray) -> np.ndarray:
-        probs = np.asarray(self.probabilities(theta), dtype=float).reshape(-1)
-        if probs.min() < -1e-12:
-            raise InvariantViolation(f"model produced negative probability {probs.min():.3e}")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise InvariantViolation(f"model probabilities sum to {total!r}")
-        return probs
-
-
-def classical_fisher(model: MeasurementModel, n_params: int) -> FisherMatrix:
-    """Fisher matrix sum_x (d_j p)(d_k p)/p at the fiducial point theta = 0.
-
+    ``probs`` is the distribution at the point of interest and
+    ``jacobian`` its (n_outcomes, n_params) array of derivatives there.
     Outcomes below ``DEFAULT_P_FLOOR`` are excluded: for the smooth models
     in scope a vanishing probability at an interior point forces a
     vanishing derivative, so those outcomes carry no information.
     """
-    theta0 = np.zeros(n_params)
-    p0 = model.distribution(theta0)
-    if model.jacobian is not None:
-        jac = np.asarray(model.jacobian(theta0), dtype=float)
-        if jac.shape != (p0.size, n_params):
-            raise ArgumentError(f"jacobian shape {jac.shape} != {(p0.size, n_params)}")
-    else:
-        jac = np.column_stack(
-            [
-                (model.distribution(theta0 + shift) - model.distribution(theta0 - shift)) / (2 * DEFAULT_STEP)
-                for shift in DEFAULT_STEP * np.eye(n_params)
-            ]
-        )
+    p0 = np.asarray(probs, dtype=float).reshape(-1)
+    if p0.min() < -1e-12:
+        raise InvariantViolation(f"negative probability {p0.min():.3e} in the distribution")
+    p0 = np.clip(p0, 0.0, None)
+    total = p0.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise InvariantViolation(f"probabilities sum to {total!r}")
+    jac = np.asarray(jacobian, dtype=float)
+    if jac.ndim != 2 or jac.shape[0] != p0.size:
+        raise ArgumentError(f"jacobian shape {jac.shape} does not have {p0.size} outcome rows")
     keep = p0 > DEFAULT_P_FLOOR
     dkeep = jac[keep]
     fisher = (dkeep / p0[keep, None]).T @ dkeep
     fisher = 0.5 * (fisher + fisher.T)
     return FisherMatrix(fisher)
-
-
-def sinusoid_model(form) -> MeasurementModel:
-    """Two-outcome model p(+/-) = (1 +/- sin(form . theta))/2 with analytic derivatives."""
-    coeffs = np.asarray(form, dtype=float).reshape(-1)
-
-    def probs(theta):
-        s = float(coeffs @ np.asarray(theta, dtype=float))
-        return np.array([0.5 * (1 + np.sin(s)), 0.5 * (1 - np.sin(s))])
-
-    def jac(theta):
-        s = float(coeffs @ np.asarray(theta, dtype=float))
-        row = 0.5 * np.cos(s) * coeffs
-        return np.vstack([row, -row])
-
-    return MeasurementModel(probabilities=probs, jacobian=jac)
 
 
 @dataclass(frozen=True)

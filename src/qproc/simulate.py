@@ -226,22 +226,10 @@ class EstimatorReport:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "repetitions": self.repetitions,
-            "shots": self.shots,
-            "mean": self.mean,
-            "empirical_variance": self.empirical_variance,
-            "variance_stderr": self.variance_stderr,
-            "bound_per_shot": self.bound_per_shot,
-            "variance_times_shots": self.variance_times_shots,
-            "z_score": self.z_score,
-            "tolerance": self.tolerance,
-            "within_tolerance": self.within_tolerance,
-            "ccrb_psd": self.ccrb_psd,
-            "ccrb_min_eigenvalue": self.ccrb_min_eigenvalue,
-            "bias_fit": self.bias_fit,
-            "impossible_alarm": self.impossible_alarm,
-        }
+        # the instance dict holds exactly the fields, in declaration order
+        summary = dict(vars(self))
+        del summary["q_hat_samples"]
+        return summary
 
     @staticmethod
     def csv_row(summary: dict, protocol_name: str, dq, seed: int) -> list:

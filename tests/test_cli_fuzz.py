@@ -4,8 +4,9 @@ A property test mutates the golden configs (a dropped key, a value of
 the wrong type, a huge, negative, non-integral or NaN number) and runs
 each through ``main``: the exit code is 0, 1 or 2, never 3, and stdout
 holds one JSON value, or the CSV report of a ``--format csv`` run that
-succeeds.  The regressions below are inputs that once exited 3 or
-printed a warning; each must exit 2 with no warning.
+succeeds; the only warning it may raise is the linear-regime one of a
+huge ``theta_true``.  The regressions below are inputs that once exited
+3 or printed a warning; each must exit 2 with no warning.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -78,8 +80,14 @@ def test_mutated_configs_never_exit_3(data):
         else:
             # a copy, so a later mutation cannot reach into the strategy's own list or dict
             container[key] = copy.deepcopy(data.draw(VALUES, label="value"))
-    code, out = run(case["argv"], config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run(case["argv"], config)
     assert_well_formed(case["argv"], code, out)
+    # a huge theta_true may warn that it leaves the linear regime; nothing else may warn
+    for warning in caught:
+        assert warning.category is UserWarning, warning
+        assert "outside the linearization regime" in str(warning.message), warning
 
 
 # (golden case, path to the mutated entry, new value or DROP)

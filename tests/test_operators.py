@@ -143,8 +143,8 @@ class TestEvolvePure:
             out = evolve_pure(psi, ham)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
             # unitarity: the generator expectation is conserved
-            before = ham.expectation(psi)
-            after = ham.expectation(out)
+            before = np.vdot(psi.amplitudes, ham.entries @ psi.amplitudes).real
+            after = np.vdot(out.amplitudes, ham.entries @ out.amplitudes).real
             assert before == pytest.approx(after, abs=1e-10)
 
 

@@ -452,6 +452,11 @@ class TestProtocolFisher:
         with pytest.raises(ArgumentError):
             protocol_fisher(protocol, PauliZFamily(3))
 
+    def test_unknown_derivative_mode_rejected(self):
+        protocol = hyperface_protocol([1, 1])
+        with pytest.raises(ArgumentError):
+            protocol_fisher(protocol, PauliZFamily(2), derivative="forward")
+
 
 class TestClosedFormsAgainstBothDerivativeModes:
     @pytest.mark.parametrize(
@@ -481,6 +486,12 @@ class TestClosedFormsAgainstBothDerivativeModes:
                 lambda: bloch_protocol(OneForm([2.0, -1.0, 2.0])),
                 BlochFamily(),
                 np.outer([2, -1, 2], [2, -1, 2]) / 9.0,
+            ),
+            (
+                # one branch whose fiducial is a multi-column mixed state
+                lambda: zoo_protocol(ZooAmplitudes(np.array([0.8, -0.3, 0.5])), variant="mixed"),
+                PauliZFamily(3),
+                ZooAmplitudes(np.array([0.8, -0.3, 0.5])).fisher().entries,
             ),
         ],
     )

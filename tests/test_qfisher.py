@@ -8,7 +8,6 @@ from qproc import (
     DensityOperator,
     HermitianOperator,
     InconsistentDerivativeError,
-    MeasurementModel,
     PauliZFamily,
     PureState,
     bloch_direction_grid,
@@ -18,7 +17,6 @@ from qproc import (
     qfi_from_sld,
     qfi_pure,
     qubit_fisher_scan,
-    sinusoid_model,
     sld,
     verify_chain,
 )
@@ -117,34 +115,27 @@ class TestQfi:
 
 class TestClassicalFisher:
     def test_face_model(self):
-        model = sinusoid_model([1.0, 1.0])
-        fisher = classical_fisher(model, 2)
+        # p(+/-) = (1 +/- sin(theta_1 + theta_2))/2 at theta = 0
+        fisher = classical_fisher([0.5, 0.5], [[0.5, 0.5], [-0.5, -0.5]])
         assert np.allclose(fisher.entries, np.ones((2, 2)), atol=1e-12)
 
     def test_parameter_independent_model(self):
-        model = MeasurementModel(probabilities=lambda theta: np.array([0.25, 0.75]))
-        fisher = classical_fisher(model, 3)
+        fisher = classical_fisher([0.25, 0.75], np.zeros((2, 3)))
         assert np.allclose(fisher.entries, np.zeros((3, 3)))
 
     def test_single_axis_model(self):
-        fisher = classical_fisher(sinusoid_model([0.0, 0.0, 1.0]), 3)
+        fisher = classical_fisher([0.5, 0.5], [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5]])
         assert np.allclose(fisher.entries, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
-    def test_central_difference_matches_analytic(self, rng):
-        for _ in range(20):
-            coeffs = rng.standard_normal(int(rng.integers(1, 5)))
-            with_jac = sinusoid_model(coeffs)
-            without_jac = MeasurementModel(probabilities=with_jac.probabilities)
-            analytic = classical_fisher(with_jac, coeffs.size)
-            numeric = classical_fisher(without_jac, coeffs.size)
-            assert np.max(np.abs(analytic.entries - numeric.entries)) < 1e-7
-
     def test_negative_probability_rejected(self):
-        model = MeasurementModel(probabilities=lambda theta: np.array([1.2, -0.2]))
         from qproc import InvariantViolation
 
         with pytest.raises(InvariantViolation):
-            classical_fisher(model, 1)
+            classical_fisher([1.2, -0.2], np.zeros((2, 1)))
+
+    def test_jacobian_rows_must_match_outcomes(self):
+        with pytest.raises(ArgumentError):
+            classical_fisher([0.5, 0.5], np.zeros((3, 2)))
 
 
 class TestVerifyChain:
