@@ -47,7 +47,7 @@ class ProcessFamily:
 
     kind = "custom-unitary"
 
-    def __init__(self, generators: list[HermitianOperator], name: str | None = None):
+    def __init__(self, generators: list[HermitianOperator]):
         if not generators:
             raise ArgumentError("a process family needs at least one generator")
         dim = generators[0].dim
@@ -62,8 +62,6 @@ class ProcessFamily:
         # eigenvectors of b^j X_j without the digits a large trace costs.
         trace = np.trace(self._stack, axis1=1, axis2=2)
         self._traceless = self._stack - trace[:, None, None] * np.eye(dim) / dim
-        if name:
-            self.kind = name
 
     @property
     def n_params(self) -> int:

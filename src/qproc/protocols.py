@@ -1,12 +1,16 @@
 """Explicit measurement protocols saturating the process bound.
 
-Hyperface and hyperedge measurements prepare Schroedinger-cat
-superpositions of opposite computational basis states and read them in
-the conjugate cat basis; the corner strategy mixes the hyperfaces
-adjacent to a polytope vertex with weights built from the ordered
-target coefficients; the ancilla ("zoo") construction spreads one
-protocol over many faces at once; and the Bloch protocol is ordinary
-single-qubit interferometry along the target axis.
+Every saturating measurement here reads Schroedinger cats, and
+:func:`_cat_branch` builds every cat branch from any two orthonormal
+vectors a, b: prepare (a + b)/sqrt2 and read the conjugate pair
+(a +/- i b)/sqrt2, plus a complement outcome "null" that keeps the POVM
+complete where the pair does not span the space.  Hyperface and
+hyperedge branches take a, b from opposite computational basis states;
+the corner strategy mixes the hyperfaces adjacent to a polytope vertex;
+the ancilla ("zoo") construction spreads one protocol over many faces,
+its pure and mixed variants reading every string's pair in one basis;
+and the Bloch protocol is the two-outcome cat on the eigenvectors of
+the target-axis spin.
 
 Every constructor records, per branch, the linear combination of
 parameters whose sine the branch reads and the coefficient with which
@@ -16,7 +20,7 @@ needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -86,9 +90,6 @@ class SignString:
     def __str__(self) -> str:
         return "".join("+" if e > 0 else "-" if e < 0 else "0" for e in self.entries)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -146,10 +147,7 @@ class Protocol:
 
 def _branch_to_dict(branch: Branch) -> dict:
     if isinstance(branch.fiducial, PureState):
-        fiducial = {
-            "type": "pure",
-            "amplitudes": [[float(z.real), float(z.imag)] for z in branch.fiducial.amplitudes],
-        }
+        fiducial = {"type": "pure", "amplitudes": matrix_to_pairs(branch.fiducial.amplitudes)[0]}
     else:
         fiducial = {"type": "mixed", "entries": matrix_to_pairs(branch.fiducial.entries)}
     return {
@@ -187,47 +185,52 @@ def _cat_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.column_stack([a + b, a + 1j * b, a - 1j * b]) / np.sqrt(2)
 
 
-def _cat_pair_branch(
-    idx_plus: int,
-    idx_minus: int,
-    dim: int,
+def _unit_pair(dim: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The computational basis vectors |i> and |j> of a dim-dimensional space."""
+    a, b = np.zeros((2, dim))
+    a[i] = b[j] = 1.0
+    return a, b
+
+
+def _cat_branch(
+    a: np.ndarray,
+    b: np.ndarray,
     readout: np.ndarray,
     weight: float,
     estimator_weight: float,
-    sign_string: SignString,
+    sign_string: SignString | None = None,
+    labels: tuple[str, ...] = ("+", "-", "null"),
 ) -> Branch:
-    """Branch preparing (|a> + |b>)/sqrt2 and reading the conjugate pair.
+    """Branch preparing (a + b)/sqrt2 and reading the conjugate pair
+    (a +/- i b)/sqrt2, for any two orthonormal vectors a and b.
 
-    The complement outcome "null" never fires for this fiducial but
-    keeps the POVM complete.
+    Every cat branch is built here.  The default third label is the
+    complement outcome "null", I minus the pair's projectors: it never
+    fires for this fiducial but keeps the POVM complete.  A qubit pair
+    spans its space, so the Bloch branch passes ``("+", "-")``.
     """
-    a, b = np.zeros((2, dim))
-    a[idx_plus] = b[idx_minus] = 1.0
     columns = _cat_columns(a, b)
     return Branch(
         weight=weight,
         fiducial=PureState(columns[:, 0]),
-        measurement=Povm.from_basis(columns[:, 1:], ("+", "-", "null")),
+        measurement=Povm.from_basis(columns[:, 1:], labels),
         readout_form=OneForm(readout),
         estimator_weight=estimator_weight,
         sign_string=sign_string,
     )
 
 
-def _edge_branch(signs: np.ndarray, weight: float, estimator_weight: float) -> Branch:
+def _edge_branch(signs, weight: float, estimator_weight: float) -> Branch:
     """Cat branch for a face or edge string; zero slots sit in |+1>."""
     signs = np.asarray(signs, dtype=int)
-    filled_plus = np.where(signs == 0, 1, signs)
-    filled_minus = np.where(signs == 0, 1, -signs)
-    dim = 2 ** signs.size
-    return _cat_pair_branch(
-        _basis_index(filled_plus),
-        _basis_index(filled_minus),
-        dim,
+    plus = _basis_index(np.where(signs == 0, 1, signs))
+    minus = _basis_index(np.where(signs == 0, 1, -signs))
+    return _cat_branch(
+        *_unit_pair(2**signs.size, plus, minus),
         signs.astype(float),
         weight,
         estimator_weight,
-        SignString(tuple(int(s) for s in signs)),
+        SignString(tuple(signs)),
     )
 
 
@@ -237,13 +240,13 @@ def hyperface_protocol(z) -> Protocol:
     Prepares the cat superposition of the two product states singled out
     by the sign string, reads it in the conjugate-cat basis, and sees
     outcome probabilities (1 +/- sin(z_j theta^j))/2, for an information
-    matrix equal to the outer product of the string with itself.
+    matrix equal to the outer product of the string with itself.  A face
+    string is an edge string without zeros, so the branch is hyperedge's.
     """
     z = SignString.parse(z)
     if z.has_zeros:
         raise ArgumentError("face strings contain no zeros; use hyperedge_protocol instead")
-    branch = _edge_branch(z.as_array().astype(int), weight=1.0, estimator_weight=1.0)
-    return Protocol(kind="hyperface", branches=(branch,), family_dim=2 ** len(z))
+    return replace(hyperedge_protocol(z), kind="hyperface")
 
 
 def hyperedge_protocol(w) -> Protocol:
@@ -256,7 +259,7 @@ def hyperedge_protocol(w) -> Protocol:
     w = SignString.parse(w)
     if all(e == 0 for e in w.entries):
         raise ArgumentError("edge string needs at least one nonzero entry")
-    branch = _edge_branch(w.as_array().astype(int), weight=1.0, estimator_weight=1.0)
+    branch = _edge_branch(w.entries, weight=1.0, estimator_weight=1.0)
     return Protocol(kind="hyperedge", branches=(branch,), family_dim=2 ** len(w))
 
 
@@ -312,13 +315,11 @@ class ZooAmplitudes:
     def n(self) -> int:
         return self.a.size
 
-    def distribution(self) -> dict[tuple[int, ...], float]:
-        """Factorized probabilities over full sign strings, p(z) = prod_j (1 + a_j z_j)/2."""
-        out = {}
-        for signs in product((1, -1), repeat=self.n):
-            p = float(np.prod([(1 + aj * zj) / 2 for aj, zj in zip(self.a, signs)]))
-            out[signs] = p
-        return out
+    def distribution(self) -> np.ndarray:
+        """Factorized probabilities p(z) = prod_j (1 + a_j z_j)/2 of the full
+        sign strings z, in ``product((1, -1), repeat=n)`` order."""
+        strings = product((1, -1), repeat=self.n)
+        return np.array([np.prod([(1 + aj * zj) / 2 for aj, zj in zip(self.a, z)]) for z in strings])
 
     def fisher(self) -> FisherMatrix:
         """Closed-form information matrix delta_jk (1 - a_j^2) + a_j a_k."""
@@ -340,47 +341,39 @@ class ZooAmplitudes:
         return cls(a)
 
 
-def _zoo_distribution(weights, n_params: int | None) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _zoo_distribution(weights, n_params: int | None) -> np.ndarray:
+    """Checked probabilities of the full sign strings, in ``product((1, -1))``
+    order; a dict reads the strings it leaves out as probability 0."""
     if isinstance(weights, ZooAmplitudes):
-        table = weights.distribution()
+        probs = weights.distribution()
     elif isinstance(weights, dict):
+        if not weights:
+            raise ArgumentError("zoo distribution is empty")
         table = {SignString.parse(key).entries: float(value) for key, value in weights.items()}
+        n = len(next(iter(table)))
+        if any(len(s) != n or 0 in s for s in table):
+            raise ArgumentError("zoo distributions run over full sign strings of one length")
+        probs = np.array([table.get(s, 0.0) for s in product((1, -1), repeat=n)])
     else:
-        arr = np.asarray(weights, dtype=float).reshape(-1)
+        probs = np.asarray(weights, dtype=float).reshape(-1)
+        if probs.size < 2:
+            raise ArgumentError("zoo distribution needs the 2^N strings of some N >= 1")
         if n_params is None:
-            n_params = int(np.round(np.log2(arr.size)))
-        if arr.size != 2**n_params:
+            n_params = int(np.round(np.log2(probs.size)))
+        if probs.size != 2**n_params:
             raise ArgumentError("distribution length must be 2^N over full sign strings")
-        table = dict(zip(product((1, -1), repeat=n_params), arr.tolist()))
-    strings = sorted(table, reverse=True)
-    n = len(strings[0])
-    if any(len(s) != n for s in strings) or any(0 in s for s in strings):
-        raise ArgumentError("zoo distributions run over full sign strings of one length")
-    probs = np.array([table[s] for s in strings])
     if np.any(probs < -1e-15):
         raise ArgumentError("zoo distribution has negative weights")
     probs = np.clip(probs, 0.0, None)
     if abs(probs.sum() - 1.0) > 1e-12:
         raise ArgumentError(f"zoo distribution sums to {probs.sum()!r}")
-    return strings, probs
+    return probs
 
 
 def _ancilla_cat_indices(signs: tuple[int, ...]) -> tuple[int, int]:
     offset = (0 if signs[0] > 0 else 1) << len(signs)
     arr = np.array(signs, dtype=int)
     return offset + _basis_index(arr), offset + _basis_index(-arr)
-
-
-def _zoo_basis(strings: list[tuple[int, ...]]) -> tuple[np.ndarray, list[str]]:
-    """The shared ancilla-tagged conjugate-cat measurement basis."""
-    n = len(strings[0])
-    eye = np.eye(2 ** (n + 1), dtype=complex)
-    columns, labels = [], []
-    for signs in product((1, -1), repeat=n):
-        idx_plus, idx_minus = _ancilla_cat_indices(signs)
-        columns.append(_cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 1:])
-        labels += [f"{SignString(signs)}:+", f"{SignString(signs)}:-"]
-    return np.hstack(columns), labels
 
 
 def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched") -> Protocol:
@@ -393,45 +386,30 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
     "mixed" its decohered counterpart, both measured in the shared
     ancilla-tagged basis.  All three give the same information matrix.
     """
-    strings, probs = _zoo_distribution(weights, n_params)
-    n = len(strings[0])
+    probs = _zoo_distribution(weights, n_params)
+    n = probs.size.bit_length() - 1
     dim = 2 ** (n + 1)
+    strings = [SignString(signs) for signs in product((1, -1), repeat=n)]
+    indices = [_ancilla_cat_indices(z.entries) for z in strings]
     if variant == "branched":
-        branches = []
-        for signs, p in zip(strings, probs):
-            if p < WEIGHT_FLOOR:
-                continue
-            idx_plus, idx_minus = _ancilla_cat_indices(signs)
-            branches.append(
-                _cat_pair_branch(
-                    idx_plus,
-                    idx_minus,
-                    dim,
-                    np.array(signs, dtype=float),
-                    weight=float(p),
-                    estimator_weight=float(p),
-                    sign_string=SignString(signs),
-                )
-            )
-        return Protocol(kind="zoo", branches=tuple(branches), family_dim=2**n)
-    povm = Povm.from_basis(*_zoo_basis(strings))
+        branches = tuple(
+            _cat_branch(*_unit_pair(dim, *pair), np.array(z.entries, dtype=float), float(p), float(p), z)
+            for z, pair, p in zip(strings, indices, probs)
+            if p >= WEIGHT_FLOOR
+        )
+        return Protocol(kind="zoo", branches=branches, family_dim=2**n)
+    if variant not in ("pure", "mixed"):
+        raise ArgumentError(f"unknown zoo variant {variant!r}")
+    cats = [_cat_columns(*_unit_pair(dim, *pair)) for pair in indices]
+    labels = [f"{z}:{outcome}" for z in strings for outcome in "+-"]
+    povm = Povm.from_basis(np.hstack([c[:, 1:] for c in cats]), labels)
     if variant == "pure":
         amplitudes = np.zeros(dim, dtype=complex)
-        for signs, p in zip(strings, probs):
-            idx_plus, idx_minus = _ancilla_cat_indices(signs)
-            amplitudes[idx_plus] += np.sqrt(p / 2)
-            amplitudes[idx_minus] += np.sqrt(p / 2)
+        # no two strings share a slot, so each pair is set once to sqrt(p/2)
+        amplitudes[np.array(indices)] = np.sqrt(probs / 2)[:, None]
         fiducial = PureState(amplitudes / np.linalg.norm(amplitudes))
-    elif variant == "mixed":
-        entries = np.zeros((dim, dim), dtype=complex)
-        eye = np.eye(dim, dtype=complex)
-        for signs, p in zip(strings, probs):
-            idx_plus, idx_minus = _ancilla_cat_indices(signs)
-            vec = _cat_columns(eye[:, idx_plus], eye[:, idx_minus])[:, 0]
-            entries += p * np.outer(vec, vec.conj())
-        fiducial = DensityOperator(entries)
     else:
-        raise ArgumentError(f"unknown zoo variant {variant!r}")
+        fiducial = DensityOperator(sum(p * np.outer(c[:, 0], c[:, 0].conj()) for c, p in zip(cats, probs)))
     branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
     return Protocol(kind=f"zoo-{variant}", branches=(branch,), family_dim=2**n)
 
@@ -455,14 +433,7 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     if length == 0.0:
         raise ArgumentError("cannot build a protocol for the zero form")
     axis = q / length
-    columns = _cat_columns(*qubit_basis(axis))
-    branch = Branch(
-        weight=1.0,
-        fiducial=PureState(columns[:, 0]),
-        measurement=Povm.from_basis(columns[:, 1:], ("+", "-")),
-        readout_form=OneForm(axis),
-        estimator_weight=length,
-    )
+    branch = _cat_branch(*qubit_basis(axis), axis, 1.0, length, labels=("+", "-"))
     return Protocol(kind="bloch", branches=(branch,), family_dim=2)
 
 
@@ -534,18 +505,8 @@ def mixture(protocols: list[Protocol], weights) -> Protocol:
         for branch in protocol.branches:
             if w * branch.weight < WEIGHT_FLOOR:
                 continue
-            branches.append(
-                Branch(
-                    weight=float(w * branch.weight),
-                    fiducial=branch.fiducial,
-                    measurement=branch.measurement,
-                    readout_form=branch.readout_form,
-                    estimator_weight=None
-                    if branch.estimator_weight is None
-                    else float(w * branch.estimator_weight),
-                    sign_string=branch.sign_string,
-                )
-            )
+            estimator = None if branch.estimator_weight is None else float(w * branch.estimator_weight)
+            branches.append(replace(branch, weight=float(w * branch.weight), estimator_weight=estimator))
     return Protocol(kind="mixture", branches=tuple(branches), family_dim=family_dim)
 
 

@@ -13,6 +13,7 @@ from qproc import (
     OneForm,
     PauliZFamily,
     Povm,
+    ProcessFamily,
     Protocol,
     PureState,
     SignString,
@@ -36,8 +37,9 @@ from qproc import (
 )
 
 from qproc.cli import family_from_config, protocol_from_config
+from qproc.protocols import _cat_branch
 
-from conftest import random_traceless_hermitian
+from conftest import random_hermitian, random_traceless_hermitian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,6 +302,11 @@ class TestZoo:
         with pytest.raises(ArgumentError):
             zoo_protocol([0.5, 0.2, 0.0, 0.0], n_params=2)
 
+    @pytest.mark.parametrize("empty", [{}, [], [1.0]], ids=["dict", "array", "no-slots"])
+    def test_empty_distribution_rejected(self, empty):
+        with pytest.raises(ArgumentError, match="zoo distribution"):
+            zoo_protocol(empty)
+
 
 class TestBlochProtocol:
     def test_z_axis(self):
@@ -390,6 +397,24 @@ class TestCatBranches:
         dense = [np.real(np.vdot(psi, e.entries @ psi)) for e in branch.measurement.elements]
         assert probs[-1] > 1e-3
         assert np.max(np.abs(probs - dense)) < 1e-12
+
+    def test_any_orthonormal_pair_reads_its_cut(self, rng):
+        # the cat of orthonormal t, u has Fisher matrix g g^T at the fiducial,
+        # g_j = <t|X_j|t> - <u|X_j|u>, whatever the family and the pair
+        for _ in range(50):
+            dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(n)])
+            q, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+            t, u = q.T
+            g = np.array([np.vdot(t, x.entries @ t).real - np.vdot(u, x.entries @ u).real for x in family.generators])
+            protocol = Protocol(kind="cat", branches=(_cat_branch(t, u, g, 1.0, 1.0),), family_dim=dim)
+            scale = np.max(np.abs(np.outer(g, g)))
+            exact = protocol_fisher(protocol, family).entries
+            central = protocol_fisher(protocol, family, derivative="central").entries
+            assert np.max(np.abs(exact - np.outer(g, g))) <= 1e-12 * scale
+            assert np.max(np.abs(central - np.outer(g, g))) <= 1e-6 * scale
+            probs = branch_distribution(protocol.branches[0], family, np.zeros(n))
+            assert np.max(np.abs(probs - [0.5, 0.5, 0.0])) <= 1e-12
 
     def test_ten_qubit_corner_fisher_in_little_memory(self):
         import tracemalloc
