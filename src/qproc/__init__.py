@@ -19,7 +19,6 @@ from .errors import (
 from .families import (
     BlochFamily,
     EpsilonPairFamily,
-    GeometryExport,
     NormMinimizer,
     PauliZFamily,
     ProcessFamily,
@@ -67,12 +66,10 @@ from .qfisher import (
     ChainReport,
     SldResult,
     bloch_direction_grid,
-    brute_force_qubit_fisher,
     classical_fisher,
     qfi_from_sld,
     qfi_pure,
     qubit_fisher_scan,
-    qubit_projective_povm,
     sld,
     verify_chain,
 )

@@ -289,11 +289,12 @@ def _claims_optimality(section: dict | None) -> bool:
     return section["kind"] in ("corner", "bloch", "optimal")
 
 
-def _bound_payload(config: dict, family: ProcessFamily) -> dict:
+def cmd_bound(config: dict) -> tuple[int, dict]:
+    family = family_from_config(config)
     dq = OneForm(config["q"])
     result = minimize_norm(family, dq)
     canonical = canonicalize(dq)
-    return {
+    return 0, {
         "family": family.describe(),
         "q": [float(x) for x in dq.components],
         "norm": result.norm,
@@ -312,12 +313,6 @@ def _bound_payload(config: dict, family: ProcessFamily) -> dict:
             "canonical": [float(x) for x in canonical.canonical.components],
         },
     }
-
-
-def cmd_bound(config: dict) -> tuple[int, dict]:
-    family = family_from_config(config)
-    payload = _bound_payload(config, family)
-    return 0, payload
 
 
 def cmd_protocol(config: dict) -> tuple[int, dict]:
@@ -378,9 +373,8 @@ def cmd_simulate(config: dict) -> tuple[int, dict | EstimatorReport]:
 def cmd_geometry(config: dict) -> tuple[int, dict]:
     family = family_from_config(config)
     resolution = config.get("geometry", {}).get("resolution", 256)
-    mesh = unit_ball_mesh(family, resolution)
+    payload = unit_ball_mesh(family, resolution)
     dq = OneForm(config["q"])
-    payload = mesh.to_dict()
     payload["level_normal"] = [float(x) for x in dq.components]
     if config.get("protocol") is not None:
         protocol = protocol_from_config(config, family)

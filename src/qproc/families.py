@@ -533,24 +533,8 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
 # Unit-ball geometry export.
 
 
-@dataclass(frozen=True)
-class GeometryExport:
-    """Sampled unit surface of a process norm, plus exact polytope vertices."""
-
-    norm_name: str
-    samples: np.ndarray
-    vertices: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "norm": self.norm_name,
-            "vertices": [list(map(float, v)) for v in self.vertices],
-            "samples": [list(map(float, s)) for s in self.samples],
-        }
-
-
-def unit_ball_mesh(family: ProcessFamily, resolution: int) -> GeometryExport:
-    """Scale rays of a uniform sphere sampling onto the unit norm surface."""
+def unit_ball_mesh(family: ProcessFamily, resolution: int) -> dict:
+    """Scale rays of a uniform sphere sampling onto the unit norm surface; returns the JSON payload."""
     if resolution < 1:
         raise ArgumentError("resolution must be positive")
     n = family.n_params
@@ -566,4 +550,8 @@ def unit_ball_mesh(family: ProcessFamily, resolution: int) -> GeometryExport:
         vertices = np.concatenate([np.eye(n), -np.eye(n)])
     else:
         vertices = np.zeros((0, n))
-    return GeometryExport(norm_name=family.kind, samples=samples, vertices=vertices)
+    return {
+        "norm": family.kind,
+        "vertices": [list(map(float, v)) for v in vertices],
+        "samples": [list(map(float, s)) for s in samples],
+    }

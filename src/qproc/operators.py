@@ -38,12 +38,12 @@ def max_dim() -> int:
         raise ArgumentError(f"QPROC_MAX_DIM must be an integer, got {value!r}") from exc
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a: np.ndarray, what: str = "entries") -> np.ndarray:
     """A read-only copy of the array, rejecting non-finite entries: a NaN
     would pass every ``defect > tol`` check, since the comparison is False."""
     out = np.array(a)
     if not np.isfinite(out).all():
-        raise InvariantViolation("entries must be finite numbers")
+        raise InvariantViolation(f"{what} must be finite numbers")
     out.setflags(write=False)
     return out
 
@@ -70,10 +70,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and an orthonormal eigenvector matrix."""
-        return np.linalg.eigh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -273,7 +269,7 @@ def evolve_pure(state: PureState, hamiltonian: HermitianOperator) -> PureState:
     """
     if state.dim != hamiltonian.dim:
         raise ArgumentError(f"state dim {state.dim} != operator dim {hamiltonian.dim}")
-    eigs, vecs = hamiltonian.eigh()
+    eigs, vecs = np.linalg.eigh(hamiltonian.entries)
     phases = np.exp(-1j * eigs)
     amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
     amps = amps / np.linalg.norm(amps)

@@ -40,6 +40,7 @@ from .operators import (
     HermitianOperator,
     Povm,
     PureState,
+    _frozen,
     matrix_to_pairs,
     outcome_distribution,
     tensor,
@@ -61,12 +62,12 @@ class SignString:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
+        entries = tuple(self.entries)
         if not entries:
             raise ArgumentError("sign string must be nonempty")
-        if any(e not in (-1, 0, 1) for e in entries):
+        if any(e not in (-1, 0, 1) for e in entries):  # before int(), which truncates 1.9 to 1
             raise ArgumentError("sign string entries must be -1, 0, or +1")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
 
     @classmethod
     def parse(cls, value) -> "SignString":
@@ -302,13 +303,11 @@ class ZooAmplitudes:
     a: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).reshape(-1)
+        a = _frozen(np.asarray(self.a, dtype=float).reshape(-1))
         if a.size == 0:
             raise ArgumentError("need at least one marginal")
         if np.any(np.abs(a) > 1.0 + 1e-12):
             raise InvariantViolation("marginals must lie in [-1, 1]")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
     @property
@@ -362,6 +361,8 @@ def _zoo_distribution(weights, n_params: int | None) -> np.ndarray:
             n_params = int(np.round(np.log2(probs.size)))
         if probs.size != 2**n_params:
             raise ArgumentError("distribution length must be 2^N over full sign strings")
+    if not np.isfinite(probs).all():
+        raise ArgumentError("zoo distribution has non-finite weights")
     if np.any(probs < -1e-15):
         raise ArgumentError("zoo distribution has negative weights")
     probs = np.clip(probs, 0.0, None)
@@ -487,7 +488,7 @@ def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str =
                 ]
             )
         total += branch.weight * classical_fisher(probs, jac).entries
-    return FisherMatrix(0.5 * (total + total.T))
+    return FisherMatrix(total)
 
 
 def mixture(protocols: list[Protocol], weights) -> Protocol:

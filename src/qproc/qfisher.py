@@ -6,9 +6,9 @@ distribution given with its derivatives, and verification of the ordering
 
     F_bb  <=  Q_bb  <=  (spectral spread of the generator)^2.
 
-The module also ships brute-force grids over single-qubit states and
-projective measurements, used to check attainability of the quantum
-bound empirically rather than by citation.
+The module also scans grids of single-qubit states and projective
+measurements, used to check attainability of the quantum bound
+empirically rather than by citation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     InconsistentDerivativeError,
     InvariantViolation,
 )
-from .operators import DensityOperator, HermitianOperator, Povm, PureState, born_rule
+from .operators import DensityOperator, HermitianOperator, PureState, born_rule
 from .tangent import FisherMatrix
 
 SLD_TRACE_TOL = 1e-10
@@ -100,6 +100,16 @@ def qfi_from_sld(rho: DensityOperator, sld_operator: HermitianOperator) -> float
     return float(np.real(np.trace(rho.entries @ l_entries @ l_entries)))
 
 
+def _fisher_sum(probs: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+    """sum_x (d_j p_x)(d_k p_x)/p_x over the outcomes above ``DEFAULT_P_FLOOR``, the
+    others entering as zero rows; ``probs`` is (..., n_outcomes) and
+    ``jacobian`` (..., n_outcomes, n_params), leading axes broadcast."""
+    keep = probs > DEFAULT_P_FLOOR
+    dkeep = np.where(keep[..., None], jacobian, 0.0)
+    scaled = dkeep / np.where(keep, probs, 1.0)[..., None]
+    return np.swapaxes(scaled, -1, -2) @ dkeep
+
+
 def classical_fisher(probs, jacobian) -> FisherMatrix:
     """Fisher matrix sum_x (d_j p)(d_k p)/p of an outcome distribution.
 
@@ -119,9 +129,7 @@ def classical_fisher(probs, jacobian) -> FisherMatrix:
     jac = np.asarray(jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape[0] != p0.size:
         raise ArgumentError(f"jacobian shape {jac.shape} does not have {p0.size} outcome rows")
-    keep = p0 > DEFAULT_P_FLOOR
-    dkeep = jac[keep]
-    fisher = (dkeep / p0[keep, None]).T @ dkeep
+    fisher = _fisher_sum(p0, jac)
     fisher = 0.5 * (fisher + fisher.T)
     return FisherMatrix(fisher)
 
@@ -163,7 +171,7 @@ def verify_chain(f_bb: float, q_bb: float, norm: float) -> ChainReport:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force grids over single-qubit states and projective measurements.
+# Grids over single-qubit states and projective measurements.
 
 
 def bloch_direction_grid(count: int) -> np.ndarray:
@@ -192,12 +200,6 @@ def qubit_basis(directions: np.ndarray) -> np.ndarray:
     return np.stack([plus, minus], axis=-2)
 
 
-def qubit_projective_povm(direction) -> Povm:
-    """Two-outcome projective measurement along a Bloch direction."""
-    n = np.asarray(direction, dtype=float)
-    return Povm.from_basis(qubit_basis(n / np.linalg.norm(n)).T, ("+", "-"))
-
-
 def qubit_fisher_scan(
     states: np.ndarray,
     generator: HermitianOperator,
@@ -217,21 +219,5 @@ def qubit_fisher_scan(
     columns = states[:, :, None]  # (n_states, 2, 1)
     d_columns = ((-1j * generator.entries) @ columns)[:, None]  # (n_states, 1 param, 2, 1)
     p, dp = born_rule(np.swapaxes(bases, -1, -2)[:, None], columns, d_columns)
-    dp = dp[..., 0]  # (n_directions, n_states, 2 outcomes)
-    contrib = np.where(p > DEFAULT_P_FLOOR, dp**2 / np.where(p > DEFAULT_P_FLOOR, p, 1.0), 0.0)
-    return contrib.sum(axis=-1).T  # (n_states, n_directions)
+    return _fisher_sum(p, dp)[..., 0, 0].T  # (n_states, n_directions)
 
-
-def brute_force_qubit_fisher(
-    psi: PureState, generator: HermitianOperator, n_directions: int
-) -> tuple[float, np.ndarray]:
-    """Maximum classical Fisher over a grid of projective qubit measurements.
-
-    Returns the maximum and the direction achieving it.
-    """
-    if psi.dim != 2 or generator.dim != 2:
-        raise ArgumentError("brute force scan is specific to single qubits")
-    directions = bloch_direction_grid(n_directions)
-    values = qubit_fisher_scan(psi.amplitudes[None, :], generator, directions)[0]
-    best = int(np.argmax(values))
-    return float(values[best]), directions[best]

@@ -1,9 +1,10 @@
 """Monte-Carlo verification of protocols against their variance bounds.
 
 Samples protocol outcomes at a true parameter point near the fiducial,
-estimates the target by maximum likelihood per branch, applies the local
-affine bias correction, and compares the empirical variance against the
-dual-norm bound and the Cramer-Rao matrix inequality.
+estimates the target by maximum likelihood per branch, and compares the
+empirical variance against the dual-norm bound and the Cramer-Rao matrix
+inequality.  The local affine bias correction is a separate step:
+:func:`fit_bias_correction` calibrates it and :func:`debias` applies it.
 
 Randomness is counter-based: every (seed, branch) pair keys its own
 Philox stream, and repetition r reads the r-th binomial draw of it, the
@@ -156,15 +157,12 @@ def fit_bias_correction(
     q_shift = float(dq.components @ (magnitude * direction))
     if q_shift == 0.0:
         raise ArgumentError("calibration direction does not change the target")
-    mean0 = float(np.mean(sample_estimates(protocol, family, np.zeros(direction.size), shots, repetitions, seed)))
-    mean_plus = float(
-        np.mean(sample_estimates(protocol, family, magnitude * direction, shots, repetitions, seed + 1))
-    )
-    mean_minus = float(
-        np.mean(sample_estimates(protocol, family, -magnitude * direction, shots, repetitions, seed + 2))
-    )
-    slope = (mean_plus - mean_minus) / (2.0 * q_shift)
-    return np.array([mean0]), np.array([[slope]])
+    means = [
+        float(np.mean(sample_estimates(protocol, family, theta, shots, repetitions, seed + k)))
+        for k, theta in enumerate((np.zeros(direction.size), magnitude * direction, -magnitude * direction))
+    ]
+    slope = (means[1] - means[2]) / (2.0 * q_shift)
+    return np.array([means[0]]), np.array([[slope]])
 
 
 def fit_bias_polynomial(q_values, mean_errors, stderrs) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +252,6 @@ def report(
     dq: OneForm | None = None,
     covariance: np.ndarray | None = None,
     tolerance: float = 0.05,
-    bias_fit: float | None = None,
 ) -> EstimatorReport:
     """Summarize estimator samples against the per-shot bound.
 
@@ -308,6 +305,6 @@ def report(
         within_tolerance=bool(within),
         ccrb_psd=ccrb_psd,
         ccrb_min_eigenvalue=ccrb_min,
-        bias_fit=bias_fit,
+        bias_fit=None,
         impossible_alarm=bool(impossible),
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InvariantViolation, UnboundedVarianceError
+from .operators import _frozen
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -21,13 +22,9 @@ DEFAULT_RANK_TOL = 1e-10
 
 
 def _real_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
+    arr = _frozen(np.asarray(values, dtype=float).reshape(-1), f"{what} components")
     if arr.size == 0:
         raise ArgumentError(f"{what} must have at least one component")
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation(f"{what} has non-finite components")
-    arr = arr.copy()
-    arr.setflags(write=False)
     return arr
 
 
@@ -69,7 +66,7 @@ class FisherMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
+        entries = _frozen(np.asarray(self.entries, dtype=float), "Fisher matrix entries")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ArgumentError(f"Fisher matrix must be square, got shape {entries.shape}")
         asym = np.max(np.abs(entries - entries.T))
@@ -78,8 +75,6 @@ class FisherMatrix:
         eigs = np.linalg.eigvalsh(entries)
         if eigs.min() < -PSD_TOL:
             raise InvariantViolation(f"Fisher matrix has negative eigenvalue {eigs.min():.3e}")
-        entries = entries.copy()
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     @property

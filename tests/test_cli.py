@@ -176,6 +176,18 @@ class TestProtocolCommand:
         assert code == 0
         assert np.allclose(payload["fisher"], [[1.0, 0.5], [0.5, 1.0]], atol=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["branched", "pure"])
+    def test_non_finite_zoo_distribution_exits_2(self, tmp_path, capsys, variant):
+        config = {
+            "schema_version": 1,
+            "family": {"kind": "pauli-z", "N": 2},
+            "q": [1.0, 0.5],
+            "protocol": {"kind": "zoo", "p": [0.5, float("nan"), 0.25, 0.25], "variant": variant},
+        }
+        assert main(["protocol", write_config(tmp_path, config)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "ArgumentError"
+
     def test_wrong_face_fails_when_claimed_optimal(self, tmp_path):
         code, payload = run_json(
             tmp_path,

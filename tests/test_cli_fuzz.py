@@ -100,6 +100,7 @@ REGRESSIONS = [
     ("protocol-zoo-mixed", ("protocol", "p"), {}),  # IndexError
     ("protocol-zoo-mixed", ("protocol", "p", "++"), "x"),  # ValueError
     ("protocol-zoo-mixed", ("protocol", "p", "++"), [0.5]),  # TypeError
+    ("protocol-zoo-pure", ("protocol", "a", 0), float("nan")),  # RuntimeWarning normalizing a NaN fiducial
     ("bound-pauliz-corner", ("family", "N"), 10**6),  # formatting 2^N
     ("bound-pauliz-corner", ("family", "N"), 10**20),  # building 2^N
     ("bound-pauliz-corner", ("family", "N"), 3.0),  # a float in bit arithmetic

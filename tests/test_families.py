@@ -523,18 +523,18 @@ class TestUnitBallMesh:
     def test_octahedron_vertices(self):
         mesh = unit_ball_mesh(PauliZFamily(3), 64)
         expected = np.concatenate([np.eye(3), -np.eye(3)])
-        assert np.allclose(mesh.vertices, expected)
-        norms = np.abs(mesh.samples).sum(axis=1)
+        assert np.allclose(mesh["vertices"], expected)
+        norms = np.abs(mesh["samples"]).sum(axis=1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_bloch_sphere(self):
         mesh = unit_ball_mesh(BlochFamily(), 128)
-        radii = np.linalg.norm(mesh.samples, axis=1)
+        radii = np.linalg.norm(mesh["samples"], axis=1)
         assert np.allclose(radii, 1.0, atol=1e-10)
 
     def test_commuting_pair_square(self):
         mesh = unit_ball_mesh(EpsilonPairFamily(0.0), 96)
-        norms = np.abs(mesh.samples).sum(axis=1)
+        norms = np.abs(mesh["samples"]).sum(axis=1)
         assert np.allclose(norms, 1.0, atol=1e-10)
 
     def test_too_many_parameters(self):
@@ -543,4 +543,4 @@ class TestUnitBallMesh:
 
     def test_two_parameter_polytope(self):
         mesh = unit_ball_mesh(PauliZFamily(2), 16)
-        assert mesh.vertices.shape == (4, 2)
+        assert np.shape(mesh["vertices"]) == (4, 2)

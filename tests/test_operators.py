@@ -165,9 +165,11 @@ class TestBornProbabilities:
 
         rho = DensityOperator(np.eye(2) / 2)
         direction = rng.standard_normal(3)
-        from qproc import qubit_projective_povm
+        from qproc import Povm
+        from qproc.qfisher import qubit_basis
 
-        probs = born_probabilities(rho, qubit_projective_povm(direction))
+        povm = Povm.from_basis(qubit_basis(direction / np.linalg.norm(direction)).T, ("+", "-"))
+        probs = born_probabilities(rho, povm)
         assert probs["+"] == pytest.approx(0.5, abs=1e-12)
         assert probs["-"] == pytest.approx(0.5, abs=1e-12)
 

@@ -10,6 +10,7 @@ from qproc import (
     Branch,
     DensityOperator,
     EpsilonPairFamily,
+    InvariantViolation,
     OneForm,
     PauliZFamily,
     Povm,
@@ -69,6 +70,15 @@ class TestSignString:
     def test_bad_entry(self):
         with pytest.raises(ArgumentError):
             SignString((2, 1))
+
+    def test_non_integer_entries_refused(self):
+        # int() would truncate these to the valid string +0
+        with pytest.raises(ArgumentError):
+            SignString.parse([1.9, -0.4])
+
+    def test_integral_floats_parse(self):
+        # the config schema's enum admits 1.0 for 1
+        assert SignString.parse([1.0, -1.0]).entries == (1, -1)
 
 
 class TestHyperface:
@@ -306,6 +316,25 @@ class TestZoo:
     def test_empty_distribution_rejected(self, empty):
         with pytest.raises(ArgumentError, match="zoo distribution"):
             zoo_protocol(empty)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant", ["branched", "pure"])
+    def test_non_finite_distribution_rejected(self, bad, variant):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            zoo_protocol([0.5, bad, 0.25, 0.25], n_params=2, variant=variant)
+        with pytest.raises(ArgumentError, match="non-finite"):
+            zoo_protocol({"++": 0.5, "+-": bad, "-+": 0.25, "--": 0.25}, variant=variant)
+
+    def test_non_finite_marginals_rejected(self):
+        with pytest.raises(InvariantViolation):
+            ZooAmplitudes(np.array([1.0, np.nan]))
+
+    def test_marginals_are_a_frozen_copy(self):
+        a = np.array([1.0, 0.5])
+        amplitudes = ZooAmplitudes(a)
+        a[1] = 0.0
+        assert amplitudes.a[1] == 0.5
+        assert not amplitudes.a.flags.writeable
 
 
 class TestBlochProtocol:

@@ -9,9 +9,9 @@ from qproc import (
     HermitianOperator,
     InconsistentDerivativeError,
     PauliZFamily,
+    Povm,
     PureState,
     bloch_direction_grid,
-    brute_force_qubit_fisher,
     classical_fisher,
     hyperface_protocol,
     qfi_from_sld,
@@ -21,6 +21,7 @@ from qproc import (
     verify_chain,
 )
 from qproc.operators import SIGMA_X, SIGMA_Z
+from qproc.qfisher import qubit_basis
 
 from conftest import random_density, random_pure_state, random_traceless_hermitian
 
@@ -177,6 +178,26 @@ class TestMeasurementCeiling:
         family = BlochFamily()
         b = np.array([0.0, 0.0, 1.0])
         plus = PureState(np.array([1, 1]) / np.sqrt(2))
-        best, direction = brute_force_qubit_fisher(plus, family.generator(b), 4000)
+        values = qubit_fisher_scan(plus.amplitudes[None, :], family.generator(b), bloch_direction_grid(4000))[0]
+        best = values[np.argmax(values)]
         assert best <= qfi_pure(plus, family.generator(b)) + 1e-6
         assert best == pytest.approx(1.0, abs=1e-4)
+
+
+class TestSharedFloor:
+    def test_scan_equals_classical_fisher(self, rng):
+        family = BlochFamily()
+        for trial in range(50):
+            psi = random_pure_state(rng, 2)
+            generator = family.generator(rng.standard_normal(3))
+            if trial % 2:
+                direction = rng.standard_normal(3)
+            else:
+                # the state's own Bloch vector: one outcome falls to the floor
+                a, b = psi.amplitudes
+                direction = np.array([2 * (np.conj(a) * b).real, 2 * (np.conj(a) * b).imag, abs(a) ** 2 - abs(b) ** 2])
+            scan = qubit_fisher_scan(psi.amplitudes[None, :], generator, direction[None, :])[0, 0]
+            povm = Povm.from_basis(qubit_basis(direction / np.linalg.norm(direction)).T, ("+", "-"))
+            columns = psi.columns()
+            probs, jac = povm.born(columns, (-1j * generator.entries @ columns)[None])
+            assert scan == pytest.approx(classical_fisher(probs, jac).entries[0, 0], rel=0, abs=1e-12)

@@ -212,3 +212,15 @@ class TestFisherMatrixValidation:
 
     def test_degenerate_allowed(self):
         FisherMatrix(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvariantViolation):
+            FisherMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_entries_are_a_frozen_copy(self):
+        entries = np.eye(2)
+        fisher = FisherMatrix(entries)
+        entries[0, 0] = 5.0
+        assert fisher.entries[0, 0] == 1.0
+        assert not fisher.entries.flags.writeable
