@@ -74,7 +74,6 @@ from .qfisher import (
     verify_chain,
 )
 from .simulate import (
-    EstimatorReport,
     apportion_shots,
     branch_rng,
     debias,

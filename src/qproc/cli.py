@@ -46,7 +46,7 @@ from .protocols import (
     protocol_fisher,
     zoo_protocol,
 )
-from .simulate import STREAM_VERSION, EstimatorReport, report, sample_estimates
+from .simulate import STREAM_VERSION, report, sample_estimates
 from .tangent import OneForm, canonicalize, fisher_dual
 
 KISSING_TOL = 1e-8
@@ -54,6 +54,7 @@ SCHEMA_VERSION = 1
 # Bound on |q_j|, on generator entries and on epsilon, so that their
 # squares and sums (q.q, X + X^dag, 2 epsilon) stay finite floats.
 MAX_MAGNITUDE = 1e150
+CSV_HEADER = ("protocol", "dq", "shots", "repetitions", "variance", "bound", "z_score", "seed")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -289,6 +290,11 @@ def _claims_optimality(section: dict | None) -> bool:
     return section["kind"] in ("corner", "bloch", "optimal")
 
 
+def _kisses(residual: float, norm: float, dq: OneForm) -> bool:
+    """Whether the residual is within KISSING_TOL of ||b||^2 max_j |q_j|, the size of F b at saturation."""
+    return residual <= KISSING_TOL * norm * (norm * float(np.max(np.abs(dq.components))))
+
+
 def cmd_bound(config: dict) -> tuple[int, dict]:
     family = family_from_config(config)
     dq = OneForm(config["q"])
@@ -331,11 +337,11 @@ def cmd_protocol(config: dict) -> tuple[int, dict]:
         "variance_bound": minimizer.dual_norm**2,
         "weights": [branch.weight for branch in protocol.branches],
     }
-    code = 1 if (_claims_optimality(config.get("protocol")) and residual > KISSING_TOL) else 0
+    code = 1 if (_claims_optimality(config.get("protocol")) and not _kisses(residual, minimizer.norm, dq)) else 0
     return code, payload
 
 
-def cmd_simulate(config: dict) -> tuple[int, dict | EstimatorReport]:
+def cmd_simulate(config: dict) -> tuple[int, dict]:
     family = family_from_config(config)
     sim = config.get("simulate")
     if sim is None:
@@ -346,18 +352,9 @@ def cmd_simulate(config: dict) -> tuple[int, dict | EstimatorReport]:
     theta = np.asarray(sim.get("theta_true", [0.0] * family.n_params), dtype=float)
     if theta.size != family.n_params:
         raise SchemaError("theta_true length does not match the family")
-    samples = sample_estimates(
-        protocol, family, theta, sim["shots"], sim["repetitions"], sim["seed"]
-    )
+    samples = sample_estimates(protocol, family, theta, sim["shots"], sim["repetitions"], sim["seed"])
     fisher = protocol_fisher(protocol, family)
-    summary = report(
-        samples,
-        bound_per_shot=bound,
-        shots=sim["shots"],
-        fisher=fisher,
-        dq=dq,
-        tolerance=sim.get("tolerance", 0.05),
-    )
+    summary = report(samples, bound, sim["shots"], fisher=fisher, dq=dq, tolerance=sim.get("tolerance", 0.05))
     payload = {
         "family": family.describe(),
         "q": [float(x) for x in dq.components],
@@ -365,9 +362,9 @@ def cmd_simulate(config: dict) -> tuple[int, dict | EstimatorReport]:
         "theta_true": [float(x) for x in theta],
         "seed": sim["seed"],
         "stream": STREAM_VERSION,
-        "report": summary.to_dict(),
+        "report": summary,
     }
-    return (0 if summary.within_tolerance else 1), payload
+    return (0 if summary["within_tolerance"] else 1), payload
 
 
 def cmd_geometry(config: dict) -> tuple[int, dict]:
@@ -404,10 +401,8 @@ def cmd_verify(config: dict) -> tuple[int, dict]:
         except UnboundedVarianceError:
             # the protocol is blind to part of the target; it attains nothing
             attained = float("inf")
-        checks["kissing"] = residual <= KISSING_TOL
-        checks["bound_attained"] = abs(attained - minimizer.dual_norm**2) <= KISSING_TOL * max(
-            1.0, minimizer.dual_norm**2
-        )
+        checks["kissing"] = _kisses(residual, minimizer.norm, dq)
+        checks["bound_attained"] = abs(attained - minimizer.dual_norm**2) <= KISSING_TOL * minimizer.dual_norm**2
         payload["kissing_residual"] = residual
         payload["attained_variance"] = attained
     payload["checks"] = checks
@@ -431,11 +426,12 @@ def _emit(payload, command: str, config: dict, args) -> None:
             raise SchemaError("csv output is only defined for simulate reports")
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(EstimatorReport.CSV_HEADER)
+        summary = payload["report"]
+        dq = " ".join(f"{x:.17g}" for x in payload["q"])
+        figures = [f"{summary[key]:.17g}" for key in ("empirical_variance", "bound_per_shot", "z_score")]
+        writer.writerow(CSV_HEADER)
         writer.writerow(
-            EstimatorReport.csv_row(
-                payload["report"], payload["protocol_kind"], payload["q"], payload["seed"]
-            )
+            [payload["protocol_kind"], dq, summary["shots"], summary["repetitions"], *figures, payload["seed"]]
         )
         text = buffer.getvalue()
     else:

@@ -15,8 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConvergenceError, InvariantViolation, UnboundedVarianceError, UnsupportedDimensionError
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, pauli_z_generators, tensor
+from .errors import (
+    ArgumentError,
+    ConvergenceError,
+    InvariantViolation,
+    UnboundedVarianceError,
+    UnsupportedDimensionError,
+)
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, pauli_z_generators
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
@@ -50,18 +56,15 @@ class ProcessFamily:
     def __init__(self, generators: list[HermitianOperator]):
         if not generators:
             raise ArgumentError("a process family needs at least one generator")
-        dim = generators[0].dim
-        for gen in generators:
-            if gen.dim != dim:
-                raise InvariantViolation("family generators must share one dimension")
-        self._generators = tuple(generators)
+        if any(gen.dim != generators[0].dim for gen in generators):
+            raise InvariantViolation("family generators must share one dimension")
         # The exactly Hermitian parts: every real combination of them is
         # exactly Hermitian, so no per-call check is needed.
         self._stack = np.stack([0.5 * (gen.entries + gen.entries.conj().T) for gen in generators])
         # The traceless parts: their combinations have the spread and
         # eigenvectors of b^j X_j without the digits a large trace costs.
         trace = np.trace(self._stack, axis1=1, axis2=2)
-        self._traceless = self._stack - trace[:, None, None] * np.eye(dim) / dim
+        self._traceless = self._stack - trace[:, None, None] * np.eye(self.dim) / self.dim
 
     @property
     def n_params(self) -> int:
@@ -73,7 +76,8 @@ class ProcessFamily:
 
     @property
     def generators(self) -> tuple[HermitianOperator, ...]:
-        return self._generators
+        """The Hermitian parts of the given generators, built on each access."""
+        return tuple(HermitianOperator(gen) for gen in self._stack)
 
     def _combination(self, b, stack=None) -> np.ndarray:
         """b^j X_j (over ``stack``, by default the generators), summed in generator order."""
@@ -196,11 +200,9 @@ class EpsilonPairFamily(ProcessFamily):
         if epsilon < 0:
             raise ArgumentError("epsilon must be nonnegative")
         self.epsilon = float(epsilon)
-        eye = HermitianOperator(np.eye(2, dtype=complex))
-        first = tensor([HermitianOperator(0.5 * SIGMA_Z), eye]).entries + np.sqrt(
-            2 * self.epsilon
-        ) * tensor([eye, HermitianOperator(0.5 * SIGMA_X)]).entries
-        second = tensor([eye, HermitianOperator(0.5 * SIGMA_Z)]).entries
+        eye = np.eye(2, dtype=complex)
+        first = np.kron(0.5 * SIGMA_Z, eye) + np.sqrt(2 * self.epsilon) * np.kron(eye, 0.5 * SIGMA_X)
+        second = np.kron(eye, 0.5 * SIGMA_Z)
         super().__init__([HermitianOperator(first), HermitianOperator(second)])
 
     def norm(self, b) -> float:

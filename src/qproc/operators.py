@@ -2,9 +2,10 @@
 
 Hermitian operators, pure and mixed states, POVMs, Kronecker products,
 unitary evolution generated by a Hamiltonian, and the spectral-spread
-seminorm.  Everything is a plain dense ``numpy`` array underneath; all
-values are immutable after construction and safe to share between
-concurrent tasks.
+seminorm.  A POVM is stored as its measurement vectors and the Pauli-z
+generators as their diagonals; operators and states are dense ``numpy``
+arrays.  All values are immutable after construction and safe to share
+between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -48,6 +49,27 @@ def _frozen(a: np.ndarray, what: str = "entries") -> np.ndarray:
     return out
 
 
+def _hermitian(a, what: str, dtype=complex) -> np.ndarray:
+    """The read-only copy of :func:`_frozen`, checked to be a nonempty square matrix with
+    max |A - A^dag| <= HERMITICITY_TOL; never symmetrised, so a stored v v^dag reads back exactly."""
+    out = _frozen(np.asarray(a, dtype=dtype), f"{what} entries")
+    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+        raise ArgumentError(f"{what} must be a square matrix, got shape {out.shape}")
+    if out.shape[0] < 1:
+        raise ArgumentError(f"{what} dimension must be at least 1")
+    defect = np.max(np.abs(out - out.conj().T))
+    if defect > HERMITICITY_TOL:
+        raise InvariantViolation(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {HERMITICITY_TOL:g}")
+    return out
+
+
+def _psd(a: np.ndarray, what: str) -> None:
+    """Refuse a Hermitian matrix with an eigenvalue below -PSD_TOL."""
+    low = np.linalg.eigvalsh(a).min()
+    if low < -PSD_TOL:
+        raise InvariantViolation(f"{what} has negative eigenvalue {low:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian matrix on a ``dim``-dimensional Hilbert space."""
@@ -55,17 +77,7 @@ class HermitianOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _frozen(np.asarray(self.entries, dtype=complex))
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ArgumentError(f"operator must be a square matrix, got shape {entries.shape}")
-        if entries.shape[0] < 1:
-            raise ArgumentError("operator dimension must be at least 1")
-        defect = np.max(np.abs(entries - entries.conj().T))
-        if defect > HERMITICITY_TOL:
-            raise InvariantViolation(
-                f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {HERMITICITY_TOL:g}"
-            )
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _hermitian(self.entries, "operator"))
 
     @property
     def dim(self) -> int:
@@ -106,15 +118,8 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _frozen(np.asarray(self.entries, dtype=complex))
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ArgumentError(f"density matrix must be square, got shape {entries.shape}")
-        defect = np.max(np.abs(entries - entries.conj().T))
-        if defect > HERMITICITY_TOL:
-            raise InvariantViolation(f"density matrix not Hermitian: defect {defect:.3e}")
-        eigs = np.linalg.eigvalsh(entries)
-        if eigs.min() < -PSD_TOL:
-            raise InvariantViolation(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+        entries = _hermitian(self.entries, "density matrix")
+        _psd(entries, "density matrix")
         tr = np.real(np.trace(entries))
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"density matrix trace {tr!r} deviates from 1")

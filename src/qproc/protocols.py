@@ -65,7 +65,8 @@ class SignString:
         entries = tuple(self.entries)
         if not entries:
             raise ArgumentError("sign string must be nonempty")
-        if any(e not in (-1, 0, 1) for e in entries):  # before int(), which truncates 1.9 to 1
+        # checked before int(), which truncates 1.9 to 1; True == 1, so booleans are refused by type
+        if any(isinstance(e, (bool, np.bool_)) or e not in (-1, 0, 1) for e in entries):
             raise ArgumentError("sign string entries must be -1, 0, or +1")
         object.__setattr__(self, "entries", tuple(int(e) for e in entries))
 

@@ -214,7 +214,10 @@ def qubit_fisher_scan(
     """
     states = np.asarray(states, dtype=complex)
     directions = np.asarray(directions, dtype=float)
-    bases = qubit_basis(directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    lengths = np.linalg.norm(directions, axis=1, keepdims=True)
+    if not np.all(np.isfinite(lengths) & (lengths > 0.0)):
+        raise ArgumentError("measurement directions must be nonzero and finite")
+    bases = qubit_basis(directions / lengths)
     # each state is a one-column fiducial, broadcast against each basis
     columns = states[:, :, None]  # (n_states, 2, 1)
     d_columns = ((-1j * generator.entries) @ columns)[:, None]  # (n_states, 1 param, 2, 1)

@@ -20,7 +20,6 @@ branch).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,62 +187,6 @@ def fit_bias_polynomial(q_values, mean_errors, stderrs) -> tuple[np.ndarray, np.
 # Summary reports.
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Empirical performance of an estimator against its bound.
-
-    The raw samples ride along for downstream analysis but stay out of
-    the serialized summary.
-    """
-
-    q_hat_samples: np.ndarray
-    repetitions: int
-    shots: int
-    mean: float
-    empirical_variance: float
-    variance_stderr: float
-    bound_per_shot: float
-    variance_times_shots: float
-    z_score: float
-    tolerance: float
-    within_tolerance: bool
-    ccrb_psd: bool | None
-    ccrb_min_eigenvalue: float | None
-    bias_fit: float | None
-    impossible_alarm: bool
-
-    CSV_HEADER = (
-        "protocol",
-        "dq",
-        "shots",
-        "repetitions",
-        "variance",
-        "bound",
-        "z_score",
-        "seed",
-    )
-
-    def to_dict(self) -> dict:
-        # the instance dict holds exactly the fields, in declaration order
-        summary = dict(vars(self))
-        del summary["q_hat_samples"]
-        return summary
-
-    @staticmethod
-    def csv_row(summary: dict, protocol_name: str, dq, seed: int) -> list:
-        """One CSV line, in CSV_HEADER order, for a serialized summary."""
-        return [
-            protocol_name,
-            " ".join(f"{x:.17g}" for x in dq),
-            summary["shots"],
-            summary["repetitions"],
-            f"{summary['empirical_variance']:.17g}",
-            f"{summary['bound_per_shot']:.17g}",
-            f"{summary['z_score']:.17g}",
-            seed,
-        ]
-
-
 def report(
     q_hat_samples,
     bound_per_shot: float,
@@ -252,8 +195,9 @@ def report(
     dq: OneForm | None = None,
     covariance: np.ndarray | None = None,
     tolerance: float = 0.05,
-) -> EstimatorReport:
-    """Summarize estimator samples against the per-shot bound.
+) -> dict:
+    """Summarize estimator samples against the per-shot bound, as the
+    JSON-ready dict that ``simulate`` prints under ``"report"``.
 
     The variance standard error uses the Gaussian chi-squared
     approximation sqrt(2/(R-1)) * variance.  With a Fisher matrix and
@@ -291,20 +235,19 @@ def report(
         ccrb_min = float(variance - marginal)
         ccrb_psd = bool(ccrb_min >= -3.0 * stderr)
 
-    return EstimatorReport(
-        q_hat_samples=samples,
-        repetitions=reps,
-        shots=int(shots),
-        mean=float(np.mean(samples)),
-        empirical_variance=variance,
-        variance_stderr=stderr,
-        bound_per_shot=float(bound_per_shot),
-        variance_times_shots=float(scaled),
-        z_score=float(z),
-        tolerance=float(tolerance),
-        within_tolerance=bool(within),
-        ccrb_psd=ccrb_psd,
-        ccrb_min_eigenvalue=ccrb_min,
-        bias_fit=None,
-        impossible_alarm=bool(impossible),
-    )
+    return {
+        "repetitions": reps,
+        "shots": int(shots),
+        "mean": float(np.mean(samples)),
+        "empirical_variance": variance,
+        "variance_stderr": stderr,
+        "bound_per_shot": float(bound_per_shot),
+        "variance_times_shots": float(scaled),
+        "z_score": float(z),
+        "tolerance": float(tolerance),
+        "within_tolerance": bool(within),
+        "ccrb_psd": ccrb_psd,
+        "ccrb_min_eigenvalue": ccrb_min,
+        "bias_fit": None,
+        "impossible_alarm": bool(impossible),
+    }

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InvariantViolation, UnboundedVarianceError
-from .operators import _frozen
+from .operators import _frozen, _hermitian, _psd
 
-SYMMETRY_TOL = 1e-12
-PSD_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -66,15 +64,8 @@ class FisherMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _frozen(np.asarray(self.entries, dtype=float), "Fisher matrix entries")
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ArgumentError(f"Fisher matrix must be square, got shape {entries.shape}")
-        asym = np.max(np.abs(entries - entries.T))
-        if asym > SYMMETRY_TOL:
-            raise InvariantViolation(f"Fisher matrix asymmetric by {asym:.3e}")
-        eigs = np.linalg.eigvalsh(entries)
-        if eigs.min() < -PSD_TOL:
-            raise InvariantViolation(f"Fisher matrix has negative eigenvalue {eigs.min():.3e}")
+        entries = _hermitian(self.entries, "Fisher matrix", float)
+        _psd(entries, "Fisher matrix")
         object.__setattr__(self, "entries", entries)
 
     @property

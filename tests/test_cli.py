@@ -12,7 +12,6 @@ import pytest
 
 from qproc import cli
 from qproc.cli import main
-from qproc.simulate import EstimatorReport
 
 PASSING_SIM = {
     "schema_version": 1,
@@ -202,6 +201,22 @@ class TestProtocolCommand:
         assert code == 1
         assert payload["kissing_residual"] == pytest.approx(0.5)
 
+    def test_wrong_face_fails_at_a_large_target_scale(self, tmp_path):
+        # the residual scales as 1/|q|: 5e-9 here, under the tolerance's
+        # absolute value, yet half the size of F b at saturation
+        code, payload = run_json(
+            tmp_path,
+            "protocol",
+            {
+                "schema_version": 1,
+                "family": {"kind": "pauli-z", "N": 2},
+                "q": [1e8, 0.5e8],
+                "protocol": {"kind": "hyperface", "z": [1, 1], "expect_optimal": True},
+            },
+        )
+        assert code == 1
+        assert payload["kissing_residual"] == pytest.approx(5e-9)
+
     def test_unsupported_pair_point(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -251,7 +266,7 @@ class TestSimulateCommand:
         assert lines[0].startswith("protocol,dq,shots")
         assert lines[1].startswith("corner,")
         header, row = csv.reader(lines)
-        assert len(header) == len(row) == len(EstimatorReport.CSV_HEADER)
+        assert len(header) == len(row) == len(cli.CSV_HEADER)
 
     def test_missing_simulate_block(self, tmp_path):
         config = write_config(
@@ -386,6 +401,39 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert payload["checks"]["kissing"] is False
+
+    def test_saturating_corner_verifies_at_a_small_target_scale(self, tmp_path):
+        # every q_j times 1e-8 stretches b, and the residual's round-off, by 1e8
+        code, payload = run_json(
+            tmp_path,
+            "verify",
+            {
+                "schema_version": 1,
+                "family": {"kind": "pauli-z", "N": 3},
+                "q": [1e-8, 2e-8 / 3, 1e-8 / 3],
+                "protocol": {"kind": "corner"},
+            },
+        )
+        assert code == 0
+        assert all(payload["checks"].values())
+        assert payload["kissing_residual"] > 1e-8
+
+    def test_bound_missed_by_a_small_target_is_not_attained(self, tmp_path):
+        # a = [0.5, 0.5] attains 16/15 of the bound; at q ~ 1e-6 the bound
+        # is ~1e-12, so an absolute tolerance would pass the 7% excess
+        code, payload = run_json(
+            tmp_path,
+            "verify",
+            {
+                "schema_version": 1,
+                "family": {"kind": "pauli-z", "N": 2},
+                "q": [1e-6, 0.5e-6],
+                "protocol": {"kind": "zoo", "a": [0.5, 0.5]},
+            },
+        )
+        assert code == 1
+        assert payload["attained_variance"] == pytest.approx(16 / 15 * payload["variance_bound"])
+        assert payload["checks"]["bound_attained"] is False
 
 
 class TestSchemaHandling:

@@ -23,8 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc.cli import main
-from qproc.simulate import EstimatorReport
+from qproc.cli import CSV_HEADER, main
 
 CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
 BY_NAME = {case["name"]: case for case in CASES}
@@ -60,7 +59,7 @@ def assert_well_formed(argv: list[str], code: int, out: str) -> None:
     assert code in (0, 1, 2), out
     if code != 2 and "csv" in argv:
         header, row, end = out.split("\r\n")
-        assert header == ",".join(EstimatorReport.CSV_HEADER) and row and not end
+        assert header == ",".join(CSV_HEADER) and row and not end
     else:
         json.loads(out)  # exactly one JSON value: trailing text fails to parse
 

@@ -388,3 +388,17 @@ class TestStateValidation:
 
         with pytest.raises(InvariantViolation):
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+    def test_density_shape(self, shape):
+        from qproc import DensityOperator
+
+        # refused before the Hermiticity test, whose max has no value on an empty matrix
+        with pytest.raises(ArgumentError):
+            DensityOperator(np.zeros(shape))
+
+    def test_density_not_hermitian(self):
+        from qproc import DensityOperator
+
+        with pytest.raises(InvariantViolation):
+            DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))

@@ -80,6 +80,12 @@ class TestSignString:
         # the config schema's enum admits 1.0 for 1
         assert SignString.parse([1.0, -1.0]).entries == (1, -1)
 
+    @pytest.mark.parametrize("entries", [[True, False], np.array([True, False])])
+    def test_booleans_refused(self, entries):
+        # True == 1 and False == 0, so a value test alone reads these as +0
+        with pytest.raises(ArgumentError):
+            SignString.parse(entries)
+
 
 class TestHyperface:
     def test_single_qubit(self):

@@ -183,6 +183,13 @@ class TestMeasurementCeiling:
         assert best <= qfi_pure(plus, family.generator(b)) + 1e-6
         assert best == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_degenerate_direction_refused(self, bad):
+        # a zero or non-finite direction names no measurement basis
+        directions = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
+        with pytest.raises(ArgumentError, match="directions"):
+            qubit_fisher_scan(np.array([[1.0, 0.0]]), HermitianOperator(0.5 * SIGMA_Z), directions)
+
 
 class TestSharedFloor:
     def test_scan_equals_classical_fisher(self, rng):

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import importlib
 
 import numpy as np
@@ -23,6 +25,7 @@ from qproc import (
     sample_estimates,
     zoo_protocol,
 )
+from qproc import cli
 
 
 def plus_frequency(protocol, family, theta, shots, seed):
@@ -276,14 +279,14 @@ class TestReport:
     def test_summary_fields(self, rng):
         samples = rng.normal(0.0, 0.01, size=4000)
         summary = report(samples, bound_per_shot=1.0, shots=10_000)
-        assert summary.repetitions == 4000
-        assert summary.variance_times_shots == pytest.approx(1.0, rel=0.1)
-        assert not summary.impossible_alarm
+        assert summary["repetitions"] == 4000
+        assert summary["variance_times_shots"] == pytest.approx(1.0, rel=0.1)
+        assert not summary["impossible_alarm"]
 
     def test_degenerate_samples_raise_alarm(self):
         summary = report(np.zeros(100), bound_per_shot=1.0, shots=100)
-        assert summary.impossible_alarm
-        assert summary.empirical_variance == 0.0
+        assert summary["impossible_alarm"]
+        assert summary["empirical_variance"] == 0.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ArgumentError):
@@ -295,7 +298,7 @@ class TestReport:
         samples = rng.normal(0.0, 0.011, size=5000)
         fisher = FisherMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
         summary = report(samples, bound_per_shot=1.0, shots=10_000, fisher=fisher, dq=OneForm([1.0, 0.5]))
-        assert summary.ccrb_psd is True
+        assert summary["ccrb_psd"] is True
 
     def test_matrix_ccrb_check(self, rng):
         from qproc import FisherMatrix
@@ -311,14 +314,16 @@ class TestReport:
         fisher = protocol_fisher(protocol, family)
         covariance = np.cov(theta_hats.T)
         summary = report(q_hats, bound_per_shot=1.0, shots=4000, fisher=fisher, covariance=covariance)
-        assert summary.ccrb_psd is True
+        assert summary["ccrb_psd"] is True
 
-    def test_csv_row_shape(self, rng):
+    def test_csv_row_shape(self, rng, capsys):
         samples = rng.normal(0.0, 0.01, size=100)
         summary = report(samples, bound_per_shot=1.0, shots=10_000)
-        row = summary.csv_row(summary.to_dict(), "corner", [1.0, 0.5], 42)
-        assert len(row) == len(summary.CSV_HEADER)
-        assert row[:4] == ["corner", "1 0.5", 10_000, 100]
+        payload = {"report": summary, "protocol_kind": "corner", "q": [1.0, 0.5], "seed": 42}
+        cli._emit(payload, "simulate", {}, argparse.Namespace(format="csv", output=None))
+        _, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert len(row) == len(cli.CSV_HEADER)
+        assert row[:4] == ["corner", "1 0.5", "10000", "100"]
 
 
 class TestBoundAttainmentAcrossShotBudgets:
@@ -330,10 +335,10 @@ class TestBoundAttainmentAcrossShotBudgets:
         samples = sample_estimates(protocol, family, [0.0, 0.0], shots, 2000, seed=17)
         summary = report(samples, bound_per_shot=1.0, shots=shots)
         # converges onto the bound and never dips impossibly below it
-        assert abs(summary.variance_times_shots - 1.0) <= 5 * summary.variance_stderr * shots
-        assert summary.variance_times_shots >= 1.0 - 5 * summary.variance_stderr * shots
-        assert not summary.impossible_alarm
-        assert summary.q_hat_samples.size == 2000
+        assert abs(summary["variance_times_shots"] - 1.0) <= 5 * summary["variance_stderr"] * shots
+        assert summary["variance_times_shots"] >= 1.0 - 5 * summary["variance_stderr"] * shots
+        assert not summary["impossible_alarm"]
+        assert summary["repetitions"] == 2000
 
 
 class TestBiasPolynomial:

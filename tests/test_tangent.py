@@ -213,6 +213,12 @@ class TestFisherMatrixValidation:
     def test_degenerate_allowed(self):
         FisherMatrix(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+    def test_bad_shape_rejected(self, shape):
+        # refused before the Hermiticity test, whose max has no value on an empty matrix
+        with pytest.raises(ArgumentError):
+            FisherMatrix(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(InvariantViolation):
