@@ -19,10 +19,11 @@ from .errors import (
     ArgumentError,
     ConvergenceError,
     InvariantViolation,
+    ResourceLimitError,
     UnboundedVarianceError,
     UnsupportedDimensionError,
 )
-from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, pauli_z_diagonal, pauli_z_generators
+from .operators import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, max_dim, pauli_z_diagonal
 from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
@@ -39,8 +40,9 @@ MAX_CUTS = 1000
 MAX_PIVOTS = 10000
 PIVOT_TOL = 1e-14
 UNSEEN_TOL = 1e-12
-# the largest dual norm whose square, the variance bound, is a finite float
+# the dual norms whose square, the variance bound, is a finite normal float
 MAX_DUAL_NORM = float(np.sqrt(np.finfo(float).max))
+MIN_DUAL_NORM = float(np.sqrt(np.finfo(float).tiny))
 
 
 class ProcessFamily:
@@ -56,15 +58,18 @@ class ProcessFamily:
     def __init__(self, generators: list[HermitianOperator]):
         if not generators:
             raise ArgumentError("a process family needs at least one generator")
-        if any(gen.dim != generators[0].dim for gen in generators):
+        dim = generators[0].dim
+        if any(gen.dim != dim for gen in generators):
             raise InvariantViolation("family generators must share one dimension")
-        # The exactly Hermitian parts: every real combination of them is
-        # exactly Hermitian, so no per-call check is needed.
+        cap = max_dim()
+        if dim > cap:
+            raise ResourceLimitError(f"generator dimension {dim} exceeds the cap {cap}")
+        # X_j = T_j + shift_j I, T_j traceless and exactly Hermitian: real combinations
+        # of the T_j have the spread and eigenvectors of b^j X_j without the digits
+        # a large trace costs, and the shift adds only a global phase to evolution.
         self._stack = np.stack([0.5 * (gen.entries + gen.entries.conj().T) for gen in generators])
-        # The traceless parts: their combinations have the spread and
-        # eigenvectors of b^j X_j without the digits a large trace costs.
-        trace = np.trace(self._stack, axis1=1, axis2=2)
-        self._traceless = self._stack - trace[:, None, None] * np.eye(self.dim) / self.dim
+        self._shift = np.trace(self._stack, axis1=1, axis2=2).real / dim
+        self._stack[:, np.arange(dim), np.arange(dim)] -= self._shift[:, None]
 
     @property
     def n_params(self) -> int:
@@ -74,29 +79,21 @@ class ProcessFamily:
     def dim(self) -> int:
         return self._stack.shape[-1]
 
-    @property
-    def generators(self) -> tuple[HermitianOperator, ...]:
-        """The Hermitian parts of the given generators, built on each access."""
-        return tuple(HermitianOperator(gen) for gen in self._stack)
-
-    def _combination(self, b, stack=None) -> np.ndarray:
-        """b^j X_j (over ``stack``, by default the generators), summed in generator order."""
-        stack = self._stack if stack is None else stack
+    def _combination(self, b) -> np.ndarray:
+        """b^j T_j, the combination of the stored stack."""
         comps = _components(b)
         if comps.size != self.n_params:
             raise ArgumentError(f"direction length {comps.size} != parameter count {self.n_params}")
-        entries = np.zeros(stack.shape[1:], dtype=stack.dtype)
-        for coeff, gen in zip(comps, stack):
-            entries += coeff * gen
-        return entries
+        return np.tensordot(comps, self._stack, axes=1)
 
     def generator(self, b) -> HermitianOperator:
         """The change generator Y = b^j X_j for a tangent direction b."""
-        return HermitianOperator(self._combination(b))
+        comps = _components(b)
+        return HermitianOperator(self._combination(comps) + (comps @ self._shift) * np.eye(self.dim))
 
     def norm(self, b) -> float:
         """Process norm of the direction: spectral spread of its generator."""
-        eigs = np.linalg.eigvalsh(self._combination(b, self._traceless))
+        eigs = np.linalg.eigvalsh(self._combination(b))
         return float(eigs[-1] - eigs[0])
 
     def _blocks(self, states) -> np.ndarray:
@@ -112,14 +109,15 @@ class ProcessFamily:
     def apply(self, states) -> np.ndarray:
         """X_j psi for every generator j, shape (n_params, *states.shape)."""
         blocks = self._blocks(states)
-        out = self._stack[:, None] @ blocks[None]
+        out = self._stack[:, None] @ blocks[None] + self._shift[:, None, None, None] * blocks[None]
         return out.reshape((self.n_params,) + np.shape(states))
 
     def evolve(self, theta, states) -> np.ndarray:
-        """exp(-i theta^j X_j) psi, via the eigendecomposition of the generator."""
+        """exp(-i theta^j X_j) psi, via the eigendecomposition of b^j T_j and a global phase."""
         blocks = self._blocks(states)
-        eigs, vecs = np.linalg.eigh(self._combination(theta))
-        out = vecs @ (np.exp(-1j * eigs)[:, None] * (vecs.conj().T @ blocks))
+        comps = _components(theta)
+        eigs, vecs = np.linalg.eigh(self._combination(comps))
+        out = vecs @ (np.exp(-1j * (eigs + comps @ self._shift))[:, None] * (vecs.conj().T @ blocks))
         return out.reshape(np.shape(states))
 
     def describe(self) -> dict:
@@ -130,8 +128,7 @@ class PauliZFamily(ProcessFamily):
     """Commuting z rotations on independent qubits; the norm is the 1-norm.
 
     The generators are held as their (n_qubits, 2^n_qubits) diagonal, so
-    ``apply`` and ``evolve`` are elementwise products; the dense
-    generators are built only on access.
+    ``apply`` and ``evolve`` are elementwise products.
     """
 
     kind = "pauli-z"
@@ -139,11 +136,6 @@ class PauliZFamily(ProcessFamily):
     def __init__(self, n_qubits: int):
         self._stack = pauli_z_diagonal(n_qubits)
         self.n_qubits = n_qubits
-
-    @property
-    def generators(self) -> tuple[HermitianOperator, ...]:
-        """The dense generators, built on each access."""
-        return tuple(pauli_z_generators(self.n_qubits))
 
     def generator(self, b) -> HermitianOperator:
         return HermitianOperator(np.diag(self._combination(b)).astype(complex))
@@ -273,6 +265,10 @@ class NormMinimizer:
             raise ArgumentError(
                 f"the variance bound {self.dual_norm:.3e}^2 overflows a float; rescale the target or the generators"
             )
+        if self.dual_norm < MIN_DUAL_NORM:
+            raise ArgumentError(
+                f"the variance bound {self.dual_norm:.3e}^2 underflows a float; rescale the target or the generators"
+            )
 
 
 def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
@@ -359,7 +355,9 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     """
     scale = np.where(scale > 0, scale, 1.0)
     rows = stack.reshape(stack.shape[0], -1) / scale[:, None]
-    u, s, _ = np.linalg.svd(np.hstack([rows.real, rows.imag]))
+    flat = np.hstack([rows.real, rows.imag])
+    # the (2 dim^2)^2 right factor is never read; u stays square to span the whole null space
+    u, s, _ = np.linalg.svd(flat, full_matrices=flat.shape[0] > flat.shape[1])
     rank = int(np.sum(s > s[0] * max(rows.shape) * np.finfo(float).eps))
     unseen = np.linalg.qr(u[:, rank:] / scale[:, None])[0]
     if np.linalg.norm(unseen.T @ q) > UNSEEN_TOL * np.linalg.norm(q):
@@ -460,8 +458,8 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
 def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     """Cutting planes on the visible plane, with a dual certificate.
 
-    The oracle works on the traceless generators, whose combinations have
-    the same spread and eigenvectors as b^j X_j.  Points are
+    The oracle works on the family's traceless stack, whose combinations
+    have the same spread and eigenvectors as b^j X_j.  Points are
     b = center + step @ t, with center the best point so far (first
     base) and step the visible plane scaled by |base|.  Each oracle call
     adds the cut g and its mirror -g as columns (1, step^T g) with cost
@@ -479,9 +477,10 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     improved on the best and its quadratic model holds; otherwise the
     next point is Kelley's, the LP's minimizer -y.
     """
-    stack = family._traceless
+    stack = family._stack
     base = q / (q @ q)
-    scale = np.linalg.norm(family._stack.reshape(q.size, -1), axis=1)
+    # Frobenius norms of the full generators: T_j is orthogonal to I
+    scale = np.hypot(np.linalg.norm(stack.reshape(q.size, -1), axis=1), np.sqrt(family.dim) * np.abs(family._shift))
     step = _visible_plane(stack, scale, q) * np.linalg.norm(base)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])

@@ -86,6 +86,20 @@ class TestBoundCommand:
         assert code == 0
         assert payload["norm"] == pytest.approx(20.0, rel=1e-9)
 
+    def test_custom_family_at_dim_128(self, tmp_path):
+        # generators with a trace; the rank test once asked for 8 GiB here and exited 2
+        rng = np.random.default_rng(128)
+        gens = []
+        for j in range(3):
+            raw = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+            gens.append(0.5 * (raw + raw.conj().T) + (j + 1) * np.eye(128))
+        pairs = [np.stack([g.real, g.imag], axis=-1).tolist() for g in gens]
+        config = {"schema_version": 1, "family": {"kind": "custom-unitary", "generators": pairs}, "q": [1.0, -0.5, 0.3]}
+        code, payload = run_json(tmp_path, "bound", config)
+        assert code == 0
+        eigs = np.linalg.eigvalsh(np.tensordot(payload["b_min"], np.array(gens), axes=1))
+        assert payload["norm"] == pytest.approx(eigs[-1] - eigs[0], rel=1e-12)
+
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
 

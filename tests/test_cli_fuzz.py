@@ -19,6 +19,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,25 @@ def test_variance_bound_beyond_the_float_range_exits_2():
     code, out = run(["bound"], config)
     assert code == 2, out
     assert "overflows" in json.loads(out)["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bound", "verify", "protocol"])
+def test_variance_bound_below_the_float_range_exits_2(command):
+    # the bound 1e-400 is no float: it printed 0.0, and verify and protocol exited 3
+    config = {"schema_version": 1, "family": {"kind": "pauli-z", "N": 2}, "q": [1e-200, 5e-201]}
+    config["protocol"] = {"kind": "corner"}
+    code, out = run([command], config)
+    assert code == 2, out
+    assert "underflows" in json.loads(out)["message"]
+
+
+def test_custom_family_above_the_dimension_cap_exits_2():
+    generators = [np.stack([g.real, g.imag], axis=-1).tolist() for g in (np.diag(np.arange(8.0)), np.eye(8))]
+    config = {"schema_version": 1, "family": {"kind": "custom-unitary", "generators": generators}, "q": [1.0, 0.0]}
+    code, out = run(["bound"], config, cap="4")
+    assert code == 2, out
+    assert json.loads(out)["error"] == "ResourceLimitError"
 
 
 def test_non_integer_dimension_cap_exits_2():

@@ -94,8 +94,10 @@ class TestArrayMethods:
 
     @pytest.mark.parametrize("ancilla", [False, True], ids=["family", "ancilla"])
     def test_custom_matches_dense(self, rng, ancilla):
-        family = random_custom_family(rng)
-        dense = _dense_reference(family.generators, ancilla)
+        # generators with a trace, so the stored shift enters every method
+        gens = [HermitianOperator(random_hermitian(rng, 4).entries + 3.0 * np.eye(4)) for _ in range(3)]
+        family = ProcessFamily(gens)
+        dense = _dense_reference(gens, ancilla)
         dim = dense[0].shape[0]
         states = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
         applied = family.apply(states)
@@ -103,6 +105,8 @@ class TestArrayMethods:
             assert np.max(np.abs(applied[j] - gen @ states)) < 1e-12
         theta = rng.standard_normal(3)
         assert np.max(np.abs(family.evolve(theta, states) - _dense_evolution(dense, theta) @ states)) < 1e-12
+        expected = sum(t * g.entries for t, g in zip(theta, gens))
+        assert np.max(np.abs(family.generator(theta).entries - expected)) < 1e-12
 
     def test_rejects_other_dimensions(self):
         with pytest.raises(ArgumentError):
@@ -245,6 +249,23 @@ class TestMinimizeNorm:
         assert result.dual_norm**2 == pytest.approx(1.0, abs=1e-12)
         assert not result.at_corner
 
+    def test_more_generators_than_matrix_entries(self):
+        # three 1x1 generators: every b acts as a multiple of the identity,
+        # and the null space has more directions than the matrices have entries
+        family = ProcessFamily([HermitianOperator(np.array([[float(j)]])) for j in (1, 2, 3)])
+        with pytest.raises(UnboundedVarianceError):
+            minimize_norm(family, OneForm([0.0, 0.0, 1.0]))
+
+    def test_dim_128_family_with_a_trace(self):
+        # the rank test's SVD once built a (2 dim^2)^2 factor, 8 GiB at dim 128
+        rng = np.random.default_rng(128)
+        gens = [random_hermitian(rng, 128).entries + (j + 1) * np.eye(128) for j in range(3)]
+        family = ProcessFamily([HermitianOperator(g) for g in gens])
+        result = minimize_norm(family, OneForm([1.0, -0.5, 0.3]))
+        eigs = np.linalg.eigvalsh(np.tensordot(result.vector.components, np.array(gens), axes=1))
+        assert result.norm == pytest.approx(eigs[-1] - eigs[0], rel=1e-12)
+        assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+
     def test_custom_family_matches_scan(self, rng):
         family = random_custom_family(rng, n_params=2, dim=4)
         q = np.array([1.0, 0.7])
@@ -299,7 +320,7 @@ class TestMinimizeNorm:
         gens = [random_hermitian(rng, 4).entries + shift * (j + 1) * np.eye(4) for j in range(3)]
         family = ProcessFamily([HermitianOperator(g) for g in gens])
         result = minimize_norm(family, OneForm([1.0, -0.5, 0.3]))
-        eigs = np.linalg.eigvalsh(np.tensordot(result.vector.components, family._traceless, axes=1))
+        eigs = np.linalg.eigvalsh(np.tensordot(result.vector.components, family._stack, axes=1))
         assert result.norm == pytest.approx(eigs[-1] - eigs[0], rel=1e-14)
         assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
 
@@ -343,20 +364,21 @@ class TestWork:
         count = _count_eigensolves(monkeypatch)
         for _ in range(8):
             n, dim = int(rng.integers(2, 4)), int(rng.integers(3, 7))
-            family = _random_family(rng, "dense", n, dim)
+            family, gens = _random_family(rng, "dense", n, dim)
             q = np.round(rng.standard_normal(n), 2)
             count[0] = 0
             result = minimize_norm(family, OneForm(q))
             assert count[0] <= 30
             assert not result.at_corner
             assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
-            assert result.norm <= _grid_minimum(family, q) + 1e-9
+            assert result.norm <= _grid_minimum(gens, q) + 1e-9
 
 
 def _random_family(rng, kind, n, dim):
-    """Generators of one of four kinds: commuting diagonals rounded to one
-    decimal, sparse real symmetric matrices with rounded entries, dense
-    complex Hermitian matrices, and the same times 1000."""
+    """A family and its generators, of one of four kinds: commuting
+    diagonals rounded to one decimal, sparse real symmetric matrices with
+    rounded entries, dense complex Hermitian matrices, and the same times
+    1000."""
     mats = []
     for _ in range(n):
         if kind == "diagonal":
@@ -368,11 +390,11 @@ def _random_family(rng, kind, n, dim):
             raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             mat = 0.5 * (raw + raw.conj().T) * (1000.0 if kind == "dense-x1000" else 1.0)
         mats.append(HermitianOperator(np.asarray(mat, dtype=complex)))
-    return ProcessFamily(mats)
+    return ProcessFamily(mats), np.array([mat.entries for mat in mats])
 
 
-def _grid_minimum(family, q, points=21, levels=16):
-    """Smallest spread on a zooming grid over the plane q . b = 1.
+def _grid_minimum(gens, q, points=21, levels=16):
+    """Smallest spread of the generators ``gens`` on a zooming grid over the plane q . b = 1.
 
     On the plane, norm(base + v) >= c |v| - norm(base), with c the least
     norm of a unit direction orthogonal to q, so the minimizer lies within
@@ -381,7 +403,6 @@ def _grid_minimum(family, q, points=21, levels=16):
     point and shrinks the window to two grid steps.  Every grid point lies
     on the plane, so the result is never below the true minimum.
     """
-    gens = np.array([gen.entries for gen in family.generators])
 
     def spreads(bs):
         eigs = np.linalg.eigvalsh(np.einsum("mj,jab->mab", bs, gens))
@@ -420,7 +441,7 @@ class TestCertificate:
         solved = 0
         for _ in range(16):
             n, dim = int(rng.integers(2, 6)), int(rng.integers(2, 7))
-            family = _random_family(rng, kind, n, dim)
+            family, gens = _random_family(rng, kind, n, dim)
             q = np.round(rng.standard_normal(n), 2)
             try:
                 result = minimize_norm(family, OneForm(q))
@@ -429,7 +450,7 @@ class TestCertificate:
             solved += 1
             assert 0.0 <= result.gap <= families.GAP_TOL * result.norm * (1 + 1e-9)
             if n <= 3:
-                grid = _grid_minimum(family, q)
+                grid = _grid_minimum(gens, q)
                 # the certified lower bound, up to a few ulps of rounding
                 assert result.norm - result.gap <= grid * (1 + 1e-13)
                 assert result.norm <= grid * (1 + 1e-9)

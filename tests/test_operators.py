@@ -279,8 +279,9 @@ class TestBornRuleOnTheBasis:
             povm = Povm(basis, [str(k) for k in range(basis.shape[1])])
             # the family on the branch space, and on half of it under an ancilla lift
             for family_dim in [dim] + ([dim // 2] if dim % 2 == 0 else []):
-                family = ProcessFamily([random_hermitian(rng, family_dim) for _ in range(3)])
-                gens = [np.kron(np.eye(dim // family_dim), g.entries) for g in family.generators]
+                given = [random_hermitian(rng, family_dim) for _ in range(3)]
+                family = ProcessFamily(given)
+                gens = [np.kron(np.eye(dim // family_dim), g.entries) for g in given]
                 for fiducial in (random_pure_state(rng, dim), random_density(rng, dim)):
                     branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
                     protocol = Protocol(kind="frame", branches=(branch,), family_dim=family_dim)
@@ -340,8 +341,9 @@ class TestComplementOutcome:
         for dim, k in ((2, 1), (4, 2), (6, 3)):
             basis = self._isometry(rng, dim, k)
             povm = Povm(basis, [str(x) for x in range(k)] + ["rest"])
-            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(3)])
-            gens = [g.entries for g in family.generators]
+            given = [random_hermitian(rng, dim) for _ in range(3)]
+            family = ProcessFamily(given)
+            gens = [g.entries for g in given]
             for fiducial in (random_pure_state(rng, dim), random_density(rng, dim)):
                 rho = fiducial.density().entries if isinstance(fiducial, PureState) else fiducial.entries
                 dense = [np.outer(v, v.conj()) for v in basis.T] + [np.eye(dim) - basis @ basis.conj().T]

@@ -438,10 +438,11 @@ class TestCatBranches:
         # g_j = <t|X_j|t> - <u|X_j|u>, whatever the family and the pair
         for _ in range(50):
             dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 5))
-            family = ProcessFamily([random_hermitian(rng, dim) for _ in range(n)])
+            given = [random_hermitian(rng, dim) for _ in range(n)]
+            family = ProcessFamily(given)
             q, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
             t, u = q.T
-            g = np.array([np.vdot(t, x.entries @ t).real - np.vdot(u, x.entries @ u).real for x in family.generators])
+            g = np.array([np.vdot(t, x.entries @ t).real - np.vdot(u, x.entries @ u).real for x in given])
             protocol = Protocol(kind="cat", branches=(_cat_branch(t, u, g, 1.0, 1.0),), family_dim=dim)
             scale = np.max(np.abs(np.outer(g, g)))
             exact = protocol_fisher(protocol, family).entries
