@@ -50,7 +50,7 @@ class ProcessFamily:
 
     ``apply`` and ``evolve`` act on state columns, an array of shape
     (dim, k) or, on the single-ancilla lift, (2 dim, k) with the ancilla
-    as the leading qubit.
+    as the leading qubit; leading axes stack several such arrays.
     """
 
     kind = "custom-unitary"
@@ -67,7 +67,10 @@ class ProcessFamily:
         # X_j = T_j + shift_j I, T_j traceless and exactly Hermitian: real combinations
         # of the T_j have the spread and eigenvectors of b^j X_j without the digits
         # a large trace costs, and the shift adds only a global phase to evolution.
-        self._stack = np.stack([0.5 * (gen.entries + gen.entries.conj().T) for gen in generators])
+        # each (X^dag + X)/2 is built in its slot: no second stack, nor generator, is alive
+        self._stack = np.empty((len(generators), dim, dim), dtype=complex)
+        for gen, part in zip(generators, self._stack):
+            np.multiply(0.5, np.add(np.conj(gen.entries.T, out=part), gen.entries, out=part), out=part)
         self._shift = np.trace(self._stack, axis1=1, axis2=2).real / dim
         self._stack[:, np.arange(dim), np.arange(dim)] -= self._shift[:, None]
 
@@ -97,20 +100,20 @@ class ProcessFamily:
         return float(eigs[-1] - eigs[0])
 
     def _blocks(self, states) -> np.ndarray:
-        """State columns as (ancilla, dim, k) blocks the generators act on."""
+        """State columns (..., rows, k) as (..., 1 generator, ancilla, dim, k) blocks."""
         states = np.asarray(states, dtype=complex)
-        if states.ndim != 2 or states.shape[0] not in (self.dim, 2 * self.dim):
+        if states.ndim < 2 or states.shape[-2] not in (self.dim, 2 * self.dim):
             raise ArgumentError(
                 f"state columns of shape {states.shape} fit neither the family dimension "
                 f"{self.dim} nor its single-ancilla extension"
             )
-        return states.reshape(-1, self.dim, states.shape[1])
+        return states.reshape(states.shape[:-2] + (1, -1, self.dim, states.shape[-1]))
 
     def apply(self, states) -> np.ndarray:
-        """X_j psi for every generator j, shape (n_params, *states.shape)."""
+        """X_j psi for every generator j, shape (..., n_params, rows, k) for states (..., rows, k)."""
         blocks = self._blocks(states)
-        out = self._stack[:, None] @ blocks[None] + self._shift[:, None, None, None] * blocks[None]
-        return out.reshape((self.n_params,) + np.shape(states))
+        out = self._stack[:, None] @ blocks + self._shift[:, None, None, None] * blocks
+        return out.reshape(out.shape[:-4] + (self.n_params,) + np.shape(states)[-2:])
 
     def evolve(self, theta, states) -> np.ndarray:
         """exp(-i theta^j X_j) psi, via the eigendecomposition of b^j T_j and a global phase."""
@@ -148,8 +151,8 @@ class PauliZFamily(ProcessFamily):
 
     def apply(self, states) -> np.ndarray:
         blocks = self._blocks(states)
-        out = self._stack[:, None, :, None] * blocks[None]
-        return out.reshape((self.n_params,) + np.shape(states))
+        out = self._stack[:, None, :, None] * blocks
+        return out.reshape(out.shape[:-4] + (self.n_params,) + np.shape(states)[-2:])
 
     def evolve(self, theta, states) -> np.ndarray:
         blocks = self._blocks(states)

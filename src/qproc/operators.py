@@ -64,7 +64,7 @@ def _hermitian(a, what: str, dtype=complex) -> np.ndarray:
 
 
 def _psd(a: np.ndarray, what: str) -> None:
-    """Refuse a Hermitian matrix with an eigenvalue below -PSD_TOL."""
+    """Refuse a Hermitian matrix, or a stack of them, with an eigenvalue below -PSD_TOL."""
     low = np.linalg.eigvalsh(a).min()
     if low < -PSD_TOL:
         raise InvariantViolation(f"{what} has negative eigenvalue {low:.3e}")
@@ -173,29 +173,21 @@ class Povm:
         return self.basis.shape[0]
 
     @property
+    def complement(self) -> bool:
+        """Whether the last label names the complement outcome I - V V^dag."""
+        return len(self.labels) > self.basis.shape[1]
+
+    @property
     def elements(self) -> tuple[HermitianOperator, ...]:
         """The dense elements v_x v_x^dag, then any complement, built on each access."""
         dense = [np.outer(v, v.conj()) for v in self.basis.T]
-        if len(self.labels) > len(dense):
+        if self.complement:
             dense.append(np.eye(self.dim) - self.basis @ self.basis.conj().T)
         return tuple(HermitianOperator(entries) for entries in dense)
 
     def born(self, columns: np.ndarray, derivatives: np.ndarray | None = None):
-        """:func:`born_rule` over every outcome, the complement last.
-
-        The complement's probability and derivatives come from the
-        residuals r_k = psi_k - V V^dag psi_k: p = sum_k |r_k|^2 and
-        d_j p = sum_k 2 Re<r_k|d_j psi_k>.
-        """
-        out = born_rule(self.basis, columns, derivatives)
-        if len(self.labels) == self.basis.shape[1]:
-            return out
-        residual = columns - self.basis @ (self.basis.conj().T @ columns)
-        rest = np.sum(residual.real**2 + residual.imag**2)
-        if derivatives is None:
-            return np.append(out, rest)
-        d_rest = 2.0 * np.sum(np.real(np.conj(residual) * derivatives), axis=(-2, -1))
-        return np.append(out[0], rest), np.vstack([out[1], d_rest])
+        """:func:`born_rule` over every outcome, the complement last."""
+        return born_rule(self.basis, columns, derivatives, self.complement)
 
     @classmethod
     def from_basis(cls, vectors: np.ndarray, labels) -> "Povm":
@@ -281,7 +273,7 @@ def evolve_pure(state: PureState, hamiltonian: HermitianOperator) -> PureState:
     return PureState(amps)
 
 
-def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | None = None):
+def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | None = None, complement: bool = False):
     """Born probabilities of a state given by its columns, and their derivatives.
 
     The state is rho = sum_k psi_k psi_k^dag over the columns psi_k of
@@ -290,17 +282,26 @@ def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | 
     p_x = sum_k |<v_x|psi_k>|^2 with shape (..., n_outcomes).  Given the
     column derivatives d_j psi_k as ``derivatives`` (..., n_params, dim, k),
     also returns d_j p_x = sum_k 2 Re[conj(<v_x|psi_k>) <v_x|d_j psi_k>]
-    with shape (..., n_outcomes, n_params).  Leading axes broadcast.
+    with shape (..., n_outcomes, n_params).  Leading axes broadcast.  With
+    ``complement`` a last outcome I - V V^dag follows, read from the
+    residuals r_k = psi_k - V V^dag psi_k: p = sum_k |r_k|^2 and
+    d_j p = sum_k 2 Re<r_k|d_j psi_k>.
     """
     # conj(<v_x|psi>) = v_x^T conj(psi): the basis is read through a
     # transposed view rather than a conjugated copy.
     vt = np.swapaxes(basis, -1, -2)
     amps = vt @ np.conj(columns)
     probs = np.sum(amps.real**2 + amps.imag**2, axis=-1)
+    if complement:
+        residual = columns - basis @ (np.swapaxes(basis.conj(), -1, -2) @ columns)
+        probs = np.concatenate([probs, np.sum(residual.real**2 + residual.imag**2, axis=(-2, -1))[..., None]], axis=-1)
     if derivatives is None:
         return probs
     d_amps = vt[..., None, :, :] @ np.conj(derivatives)
     d_probs = 2.0 * np.sum(np.real(np.conj(amps[..., None, :, :]) * d_amps), axis=-1)
+    if complement:
+        d_rest = 2.0 * np.sum(np.real(np.conj(residual[..., None, :, :]) * derivatives), axis=(-2, -1))
+        d_probs = np.concatenate([d_probs, d_rest[..., None]], axis=-1)
     return probs, np.swapaxes(d_probs, -1, -2)
 
 

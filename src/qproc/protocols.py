@@ -21,7 +21,7 @@ needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -41,18 +41,22 @@ from .operators import (
     Povm,
     PureState,
     _frozen,
+    _psd,
+    born_rule,
     matrix_to_pairs,
     outcome_distribution,
     tensor,
 )
 # DEFAULT_P_FLOOR, the probability floor protocol_fisher applies, is
 # re-exported for callers that report it.
-from .qfisher import DEFAULT_P_FLOOR, classical_fisher, qubit_basis  # noqa: F401
+from .qfisher import DEFAULT_P_FLOOR, _fisher_stack, classical_fisher, qubit_basis  # noqa: F401
 from .tangent import FisherMatrix, OneForm, TangentVector, canonicalize, pair
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_FLOOR = 1e-15
 DEFAULT_STEP = 1e-5
+# entries the derivative stack of one stacked pass may hold; a branch over it runs alone
+_CHUNK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -443,6 +447,20 @@ def bloch_protocol(dq: OneForm) -> Protocol:
 # Information matrices and saturation checks.
 
 
+def _shape_chunks(branches, n_params: int):
+    """Runs of consecutive branches alike in fiducial-column shape, basis shape and complement,
+    cut so that each derivative stack (B, n_params, dim, k) keeps within ``_CHUNK_ENTRIES``; yields
+    (branches, columns (B, dim, k), bases (B, dim, m)), a lone branch as uncopied views."""
+    pairs = ((branch, branch.fiducial.columns()) for branch in branches)
+    for _, run in groupby(pairs, lambda p: (p[1].shape, p[0].measurement.basis.shape, p[0].measurement.complement)):
+        run = list(run)
+        size = max(1, _CHUNK_ENTRIES // (n_params * run[0][1].size))
+        for start in range(0, len(run), size):
+            group, columns = zip(*run[start : start + size])
+            bases = [branch.measurement.basis for branch in group]
+            yield group, *(a[0][None] if len(a) == 1 else np.stack(a) for a in (columns, bases))
+
+
 def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndarray:
     """Exact outcome probabilities of one branch at a parameter point,
     ordered like the branch's POVM labels."""
@@ -458,37 +476,38 @@ def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndar
 def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str = "exact") -> FisherMatrix:
     """Information matrix of a protocol at the fiducial point.
 
-    Per branch the Born vector and its Jacobian go to
-    :func:`classical_fisher`, then the branch matrices are mixed with the
-    branch weights.  The "exact" mode differentiates the evolved state
-    directly: the derivative of exp(-i t X) psi at t = 0 is -i X psi, so
-    the fiducial's columns and their images -i X_j psi_k give the exact
-    Jacobian.  The "central" mode is an independent cross-check: it
-    differences :func:`branch_distribution` at +/- ``DEFAULT_STEP`` along
-    each parameter.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
+    Per branch the Born vector and its Jacobian give a Fisher matrix, and
+    these are mixed with the branch weights in branch order.  The "exact"
+    mode differentiates the evolved state: the derivative of exp(-i t X) psi
+    at t = 0 is -i X psi.  It runs each chunk of :func:`_shape_chunks` as one
+    stacked pass with one positivity eigen-solve.  The "central" mode is an
+    independent cross-check, branch by branch: it differences
+    :func:`branch_distribution` at +/- ``DEFAULT_STEP`` along each
+    parameter.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
     """
     if family.dim != protocol.family_dim:
-        raise ArgumentError(
-            f"protocol built for dimension {protocol.family_dim}, family has {family.dim}"
-        )
+        raise ArgumentError(f"protocol built for dimension {protocol.family_dim}, family has {family.dim}")
     if derivative not in ("exact", "central"):
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
     n = family.n_params
     total = np.zeros((n, n))
-    for branch in protocol.branches:
-        if derivative == "exact":
-            columns = branch.fiducial.columns()
-            probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
-        else:
+    if derivative == "exact":
+        for group, columns, basis in _shape_chunks(protocol.branches, n):
+            # -i X_j psi_k scaled in place and dropped after use, so one derivative stack is alive
+            derivatives = family.apply(columns)
+            derivatives *= -1j
+            fishers = _fisher_stack(*born_rule(basis, columns, derivatives, group[0].measurement.complement))
+            del derivatives
+            _psd(fishers, "Fisher matrix")
+            for branch, fisher in zip(group, fishers):
+                total += branch.weight * fisher
+    else:
+        shifts = DEFAULT_STEP * np.eye(n)
+        for branch in protocol.branches:
             probs = branch_distribution(branch, family, np.zeros(n))
-            jac = np.column_stack(
-                [
-                    (branch_distribution(branch, family, shift) - branch_distribution(branch, family, -shift))
-                    / (2 * DEFAULT_STEP)
-                    for shift in DEFAULT_STEP * np.eye(n)
-                ]
-            )
-        total += branch.weight * classical_fisher(probs, jac).entries
+            diffs = [branch_distribution(branch, family, s) - branch_distribution(branch, family, -s) for s in shifts]
+            jac = np.column_stack(diffs) / (2 * DEFAULT_STEP)
+            total += branch.weight * classical_fisher(probs, jac).entries
     return FisherMatrix(total)
 
 
@@ -512,9 +531,7 @@ def mixture(protocols: list[Protocol], weights) -> Protocol:
     return Protocol(kind="mixture", branches=tuple(branches), family_dim=family_dim)
 
 
-def kissing_residual(
-    fisher: FisherMatrix, b: TangentVector, family: ProcessFamily, dq: OneForm
-) -> float:
+def kissing_residual(fisher: FisherMatrix, b: TangentVector, family: ProcessFamily, dq: OneForm) -> float:
     """How far F b falls from ||b||^2 dq; zero certifies joint saturation
     of the one-from-many inequality and the process bound at b."""
     advance = pair(dq, b)

@@ -110,6 +110,22 @@ def _fisher_sum(probs: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
     return np.swapaxes(scaled, -1, -2) @ dkeep
 
 
+def _fisher_stack(probs: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
+    """Symmetrised Fisher matrices (B, n, n) of distributions (B, outcomes) with derivatives (B, outcomes, n),
+    each checked for p >= -1e-12, a sum within 1e-10 of 1 and finite entries; positivity is left to ``_psd``."""
+    if probs.min() < -1e-12:
+        raise InvariantViolation(f"negative probability {probs.min():.3e} in the distribution")
+    probs = np.clip(probs, 0.0, None)
+    total = probs.sum(axis=-1)
+    if (off := np.abs(total - 1.0) > 1e-10).any():
+        raise InvariantViolation(f"probabilities sum to {total[off][0]!r}")
+    fisher = _fisher_sum(probs, jacobian)
+    fisher = 0.5 * (fisher + np.swapaxes(fisher, -1, -2))
+    if not np.isfinite(fisher).all():
+        raise InvariantViolation("Fisher matrix entries must be finite numbers")
+    return fisher
+
+
 def classical_fisher(probs, jacobian) -> FisherMatrix:
     """Fisher matrix sum_x (d_j p)(d_k p)/p of an outcome distribution.
 
@@ -120,18 +136,10 @@ def classical_fisher(probs, jacobian) -> FisherMatrix:
     vanishing derivative, so those outcomes carry no information.
     """
     p0 = np.asarray(probs, dtype=float).reshape(-1)
-    if p0.min() < -1e-12:
-        raise InvariantViolation(f"negative probability {p0.min():.3e} in the distribution")
-    p0 = np.clip(p0, 0.0, None)
-    total = p0.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise InvariantViolation(f"probabilities sum to {total!r}")
     jac = np.asarray(jacobian, dtype=float)
     if jac.ndim != 2 or jac.shape[0] != p0.size:
         raise ArgumentError(f"jacobian shape {jac.shape} does not have {p0.size} outcome rows")
-    fisher = _fisher_sum(p0, jac)
-    fisher = 0.5 * (fisher + fisher.T)
-    return FisherMatrix(fisher)
+    return FisherMatrix(_fisher_stack(p0[None], jac[None])[0])
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,39 @@ class TestArrayMethods:
         with pytest.raises(ArgumentError):
             PauliZFamily(2).evolve([0.1, 0.2], np.ones(4))
 
+    @pytest.mark.parametrize("ancilla", [False, True], ids=["family", "ancilla"])
+    @pytest.mark.parametrize("custom", [False, True], ids=["pauli-z", "custom"])
+    def test_stacked_states_match_each_slice(self, rng, ancilla, custom):
+        family = random_custom_family(rng) if custom else PauliZFamily(2)
+        dim = family.dim * (2 if ancilla else 1)
+        stack = rng.standard_normal((5, dim, 2)) + 1j * rng.standard_normal((5, dim, 2))
+        theta = rng.standard_normal(family.n_params)
+        applied = family.apply(stack)
+        evolved = family.evolve(theta, stack)
+        assert applied.shape == (5, family.n_params, dim, 2) and applied.flags.c_contiguous
+        for b in range(5):
+            assert np.array_equal(applied[b], family.apply(stack[b]))
+            assert np.array_equal(evolved[b], family.evolve(theta, stack[b]))
+
+    def test_custom_family_holds_one_stack_while_built(self, rng):
+        import tracemalloc
+
+        gens = [random_hermitian(rng, 256) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            family = ProcessFamily(gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stack = 3 * 256 * 256 * np.dtype(complex).itemsize
+        assert peak <= stack + stack // 3  # the stack plus at most one generator
+        # filled in place, the stack holds the bits of one stacked from a list
+        listed = np.stack([0.5 * (g.entries + g.entries.conj().T) for g in gens])
+        shift = np.trace(listed, axis1=1, axis2=2).real / 256
+        listed[:, np.arange(256), np.arange(256)] -= shift[:, None]
+        assert np.array_equal(family._shift, shift)
+        assert np.array_equal(family._stack, listed)
+
     def test_pauli_z_family_builds_no_dense_generator(self):
         import tracemalloc
 

@@ -38,7 +38,8 @@ from qproc import (
 )
 
 from qproc.cli import family_from_config, protocol_from_config
-from qproc.protocols import _cat_branch
+from qproc.protocols import _cat_branch, _shape_chunks
+from qproc.qfisher import classical_fisher
 
 from conftest import random_hermitian, random_traceless_hermitian
 
@@ -55,6 +56,22 @@ def _printed_protocols():
 
 
 PROTOCOL_GOLDENS = list(_printed_protocols())
+
+
+def _golden_protocol_configs():
+    """(name, family, protocol) for each golden config whose protocol block builds."""
+    for case in json.loads((GOLDEN / "cases.json").read_text()):
+        config = case["config"]
+        if "protocol" not in config:
+            continue
+        family = family_from_config(config)
+        try:
+            yield case["name"], family, protocol_from_config(config, family)
+        except UnsupportedProtocolError:
+            continue
+
+
+GOLDEN_PROTOCOLS = list(_golden_protocol_configs())
 
 
 class TestSignString:
@@ -465,6 +482,76 @@ class TestCatBranches:
             tracemalloc.stop()
         assert peak < 4_000_000
         assert kissing_residual(fisher, minimize_norm(family, dq).vector, family, dq) <= 1e-12
+
+
+def per_branch_fisher(protocol, family) -> np.ndarray:
+    """The Fisher matrix of the protocol one branch at a time, mixed in branch order."""
+    total = np.zeros((family.n_params, family.n_params))
+    for branch in protocol.branches:
+        columns = branch.fiducial.columns()
+        probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
+        total += branch.weight * classical_fisher(probs, jac).entries
+    return total
+
+
+def counted_eigvalsh(monkeypatch) -> list:
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestStackedPass:
+    """The exact Fisher matrix runs each run of same-shape branches as one stacked
+    pass; every entry must equal the one-branch-at-a-time computation bit for bit."""
+
+    @pytest.mark.parametrize("name, family, protocol", GOLDEN_PROTOCOLS, ids=[c[0] for c in GOLDEN_PROTOCOLS])
+    def test_golden_protocols_match_per_branch(self, name, family, protocol):
+        assert np.array_equal(protocol_fisher(protocol, family).entries, per_branch_fisher(protocol, family))
+
+    def test_interleaved_shape_groups_match_per_branch(self):
+        # corner branches are dim 4, branched zoo ones dim 8 with the ancilla
+        family = PauliZFamily(2)
+        corner = corner_protocol(OneForm([1.0, -0.4]))
+        zoo = zoo_protocol(ZooAmplitudes(np.array([0.6, -0.2])))
+        protocol = mixture([corner, zoo, corner_protocol(OneForm([0.3, 1.0]))], [0.5, 0.3, 0.2])
+        chunks = [len(group) for group, *_ in _shape_chunks(protocol.branches, family.n_params)]
+        assert chunks == [2, 4, 2]
+        assert np.array_equal(protocol_fisher(protocol, family).entries, per_branch_fisher(protocol, family))
+
+    def test_ten_qubit_corner_spans_chunks_and_matches_per_branch(self):
+        family = PauliZFamily(10)
+        protocol = corner_protocol(OneForm(np.linspace(1.0, 0.2, 10)))
+        chunks = [len(group) for group, *_ in _shape_chunks(protocol.branches, family.n_params)]
+        assert chunks == [1] * 10
+        assert np.array_equal(protocol_fisher(protocol, family).entries, per_branch_fisher(protocol, family))
+
+    def test_six_qubit_corner_makes_two_eigen_solves(self, monkeypatch):
+        family = PauliZFamily(6)
+        protocol = corner_protocol(OneForm([1.0, -0.8, 0.6, 0.45, -0.3, 0.1]))
+        assert len(protocol.branches) == 6
+        calls = counted_eigvalsh(monkeypatch)
+        protocol_fisher(protocol, family)
+        # one positivity test over the stacked branch matrices, one for the mixture
+        assert len(calls) == 2
+
+    def test_twelve_qubit_corner_fisher_in_little_memory(self):
+        import tracemalloc
+
+        family = PauliZFamily(12)
+        protocol = corner_protocol(OneForm(np.linspace(1.0, 0.2, 12)))
+        tracemalloc.start()
+        try:
+            protocol_fisher(protocol, family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestProtocolFisher:

@@ -138,6 +138,20 @@ class TestClassicalFisher:
         with pytest.raises(ArgumentError):
             classical_fisher([0.5, 0.5], np.zeros((3, 2)))
 
+    def test_stack_checks_every_distribution(self):
+        from qproc import InvariantViolation
+        from qproc.qfisher import _fisher_stack
+
+        jac = np.array([[[0.5], [-0.5]]] * 2)
+        good = np.array([[0.5, 0.5], [0.25, 0.75]])
+        assert _fisher_stack(good, jac).shape == (2, 1, 1)
+        with pytest.raises(InvariantViolation, match=r"sum to .*0\.75"):
+            _fisher_stack(np.array([[0.5, 0.5], [0.25, 0.5]]), jac)
+        with pytest.raises(InvariantViolation, match="negative probability"):
+            _fisher_stack(np.array([[0.5, 0.5], [1.1, -0.1]]), jac)
+        with pytest.raises(InvariantViolation, match="finite"):
+            _fisher_stack(good, np.array([[[0.5], [-0.5]], [[np.inf], [0.0]]]))
+
 
 class TestVerifyChain:
     def test_saturated(self):

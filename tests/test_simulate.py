@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qproc import (
     ArgumentError,
     DegenerateModelError,
+    EpsilonPairFamily,
     EstimationError,
     OneForm,
     PauliZFamily,
@@ -26,6 +27,7 @@ from qproc import (
     zoo_protocol,
 )
 from qproc import cli
+from qproc.operators import outcome_distribution
 
 
 def plus_frequency(protocol, family, theta, shots, seed):
@@ -224,6 +226,37 @@ class TestSamplingPathsAgree:
         batch = sample_estimates(protocol, family, theta, shots=600, repetitions=30, seed=5)
         one_by_one = [one_run(protocol, family, theta, shots=600, seed=5, repetition=r) for r in range(batch.size)]
         np.testing.assert_allclose(one_by_one, batch, rtol=1e-12, atol=0)
+
+
+class RecordedDraws:
+    """A stand-in branch stream that records the + probability it is asked to draw with."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def binomial(self, shots, p, size):
+        self.seen.append(p)
+        return np.zeros(size, dtype=int)
+
+
+class TestPlusProbabilities:
+    @pytest.mark.parametrize(
+        "protocol, family, theta",
+        [
+            (corner_protocol(OneForm([1.0, -0.6, 0.2])), PauliZFamily(3), [0.03, -0.02, 0.01]),
+            (zoo_protocol(np.full(8, 1 / 8)), PauliZFamily(3), [0.05, 0.02, -0.04]),
+            (corner_protocol(OneForm([0.4, -1.0])), EpsilonPairFamily(0.3), [0.02, -0.05]),
+        ],
+    )
+    def test_plus_probabilities_match_each_branch_alone(self, monkeypatch, protocol, family, theta):
+        seen = []
+        monkeypatch.setattr(importlib.import_module("qproc.simulate"), "branch_rng", lambda seed, b: RecordedDraws(seen))
+        sample_estimates(protocol, family, theta, shots=600, repetitions=3, seed=5)
+        for branch, p_plus in zip(protocol.branches, seen, strict=True):
+            plus = branch.measurement.labels.index("+")
+            alone = outcome_distribution(branch.measurement, family.evolve(np.array(theta), branch.fiducial.columns()))
+            assert p_plus == alone[plus]
+            assert p_plus == branch_distribution(branch, family, theta)[plus]
 
 
 class TestParameterEstimates:
