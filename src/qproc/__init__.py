@@ -35,7 +35,6 @@ from .operators import (
     born_probabilities,
     born_rule,
     evolve_pure,
-    identity,
     matrix_from_pairs,
     matrix_to_pairs,
     max_dim,
@@ -69,7 +68,6 @@ from .qfisher import (
     classical_fisher,
     qfi_from_sld,
     qfi_pure,
-    qubit_fisher_scan,
     sld,
     verify_chain,
 )
@@ -89,7 +87,6 @@ from .tangent import (
     TangentVector,
     canonicalize,
     fisher_dual,
-    fisher_form,
     fisher_orthogonal_vector,
     pair,
 )

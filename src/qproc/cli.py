@@ -8,8 +8,9 @@ overrides included, and names its shallowest violation.
 
 Exit codes: 0 success, 1 verification failure (a bound or saturation
 check did not hold), 2 usage or schema error (an unreadable config or
-generators file included), or a run that ran out of memory, 3 an
-internal error.  Every error prints one JSON object, never a traceback.
+generators file and an unwritable output path included), or a run that
+ran out of memory, 3 an internal error.  Every error prints one JSON
+object, never a traceback.
 """
 
 from __future__ import annotations
@@ -437,7 +438,10 @@ def _emit(payload, command: str, config: dict, args) -> None:
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write output file {path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -31,12 +31,15 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def max_dim() -> int:
-    """Hilbert-space dimension cap; override with the QPROC_MAX_DIM env var."""
+    """Hilbert-space dimension cap; override with the QPROC_MAX_DIM env var, a positive integer."""
     value = os.environ.get("QPROC_MAX_DIM", DEFAULT_MAX_DIM)
     try:
-        return int(value)
+        cap = int(value)
     except ValueError as exc:
-        raise ArgumentError(f"QPROC_MAX_DIM must be an integer, got {value!r}") from exc
+        raise ArgumentError(f"QPROC_MAX_DIM must be a positive integer, got {value!r}") from exc
+    if cap < 1:
+        raise ArgumentError(f"QPROC_MAX_DIM must be a positive integer, got {value!r}")
+    return cap
 
 
 def _frozen(a: np.ndarray, what: str = "entries") -> np.ndarray:
@@ -193,10 +196,6 @@ class Povm:
     def from_basis(cls, vectors: np.ndarray, labels) -> "Povm":
         """Projective POVM built from the columns of an orthonormal basis."""
         return cls(vectors, tuple(labels))
-
-
-def identity(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex))
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:

@@ -330,20 +330,6 @@ class ZooAmplitudes:
         a = self.a
         return FisherMatrix(np.diag(1.0 - a**2) + np.outer(a, a))
 
-    @classmethod
-    def for_vertex(cls, dq_canonical: np.ndarray) -> "ZooAmplitudes":
-        """Marginals (1, q_2, ..., q_N) tangent at the leading vertex."""
-        a = np.array(dq_canonical, dtype=float)
-        a[0] = 1.0
-        return cls(a)
-
-    @classmethod
-    def for_edge(cls, dq_canonical: np.ndarray, edge_size: int) -> "ZooAmplitudes":
-        """Marginals 1 on the first ``edge_size`` slots, q_j beyond."""
-        a = np.array(dq_canonical, dtype=float)
-        a[:edge_size] = 1.0
-        return cls(a)
-
 
 def _zoo_distribution(weights, n_params: int | None) -> np.ndarray:
     """Checked probabilities of the full sign strings, in ``product((1, -1))``

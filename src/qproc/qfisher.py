@@ -6,9 +6,9 @@ distribution given with its derivatives, and verification of the ordering
 
     F_bb  <=  Q_bb  <=  (spectral spread of the generator)^2.
 
-The module also scans grids of single-qubit states and projective
-measurements, used to check attainability of the quantum bound
-empirically rather than by citation.
+The module also spreads directions over the Bloch sphere and builds the
+qubit measurement basis along each, so grids of single-qubit states and
+projective measurements can check the chain empirically.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     InconsistentDerivativeError,
     InvariantViolation,
 )
-from .operators import DensityOperator, HermitianOperator, PureState, born_rule
+from .operators import DensityOperator, HermitianOperator, PureState
 from .tangent import FisherMatrix
 
 SLD_TRACE_TOL = 1e-10
@@ -100,26 +100,20 @@ def qfi_from_sld(rho: DensityOperator, sld_operator: HermitianOperator) -> float
     return float(np.real(np.trace(rho.entries @ l_entries @ l_entries)))
 
 
-def _fisher_sum(probs: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-    """sum_x (d_j p_x)(d_k p_x)/p_x over the outcomes above ``DEFAULT_P_FLOOR``, the
-    others entering as zero rows; ``probs`` is (..., n_outcomes) and
-    ``jacobian`` (..., n_outcomes, n_params), leading axes broadcast."""
-    keep = probs > DEFAULT_P_FLOOR
-    dkeep = np.where(keep[..., None], jacobian, 0.0)
-    scaled = dkeep / np.where(keep, probs, 1.0)[..., None]
-    return np.swapaxes(scaled, -1, -2) @ dkeep
-
-
 def _fisher_stack(probs: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
-    """Symmetrised Fisher matrices (B, n, n) of distributions (B, outcomes) with derivatives (B, outcomes, n),
-    each checked for p >= -1e-12, a sum within 1e-10 of 1 and finite entries; positivity is left to ``_psd``."""
+    """Symmetrised sums (..., n, n) of (d_j p_x)(d_k p_x)/p_x over distributions (..., outcomes) with derivatives
+    (..., outcomes, n), outcomes at or below ``DEFAULT_P_FLOOR`` left out; each is checked for p >= -1e-12, a sum
+    within 1e-10 of 1 and finite entries; positivity is left to ``_psd``."""
     if probs.min() < -1e-12:
         raise InvariantViolation(f"negative probability {probs.min():.3e} in the distribution")
     probs = np.clip(probs, 0.0, None)
     total = probs.sum(axis=-1)
     if (off := np.abs(total - 1.0) > 1e-10).any():
         raise InvariantViolation(f"probabilities sum to {total[off][0]!r}")
-    fisher = _fisher_sum(probs, jacobian)
+    keep = probs > DEFAULT_P_FLOOR
+    dkeep = np.where(keep[..., None], jacobian, 0.0)
+    scaled = dkeep / np.where(keep, probs, 1.0)[..., None]
+    fisher = np.swapaxes(scaled, -1, -2) @ dkeep
     fisher = 0.5 * (fisher + np.swapaxes(fisher, -1, -2))
     if not np.isfinite(fisher).all():
         raise InvariantViolation("Fisher matrix entries must be finite numbers")
@@ -206,29 +200,3 @@ def qubit_basis(directions: np.ndarray) -> np.ndarray:
     plus = np.stack([c, np.exp(1j * phi) * s], axis=-1)
     minus = np.stack([-s, np.exp(1j * phi) * c], axis=-1)
     return np.stack([plus, minus], axis=-2)
-
-
-def qubit_fisher_scan(
-    states: np.ndarray,
-    generator: HermitianOperator,
-    directions: np.ndarray,
-) -> np.ndarray:
-    """Scalar classical Fisher at the fiducial point for every
-    (state, projective measurement) pair on a single qubit.
-
-    ``states`` is (n_states, 2) of amplitudes; returns an array of shape
-    (n_states, n_directions).  Derivatives are exact: the derivative of
-    |<e|exp(-i phi Y)|psi>|^2 at phi = 0 is 2 Re[conj(<e|psi>) <e|-iY|psi>].
-    """
-    states = np.asarray(states, dtype=complex)
-    directions = np.asarray(directions, dtype=float)
-    lengths = np.linalg.norm(directions, axis=1, keepdims=True)
-    if not np.all(np.isfinite(lengths) & (lengths > 0.0)):
-        raise ArgumentError("measurement directions must be nonzero and finite")
-    bases = qubit_basis(directions / lengths)
-    # each state is a one-column fiducial, broadcast against each basis
-    columns = states[:, :, None]  # (n_states, 2, 1)
-    d_columns = ((-1j * generator.entries) @ columns)[:, None]  # (n_states, 1 param, 2, 1)
-    p, dp = born_rule(np.swapaxes(bases, -1, -2)[:, None], columns, d_columns)
-    return _fisher_sum(p, dp)[..., 0, 0].T  # (n_states, n_directions)
-

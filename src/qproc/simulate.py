@@ -2,9 +2,10 @@
 
 Samples protocol outcomes at a true parameter point near the fiducial,
 estimates the target by maximum likelihood per branch, and compares the
-empirical variance against the dual-norm bound and the Cramer-Rao matrix
-inequality.  The local affine bias correction is a separate step:
-:func:`fit_bias_correction` calibrates it and :func:`debias` applies it.
+empirical variance against the dual-norm bound and the marginal
+Cramer-Rao inequality.  The local affine bias correction is a separate
+step: :func:`fit_bias_correction` calibrates it and :func:`debias`
+applies it.
 
 Randomness is counter-based: every (seed, branch) pair keys its own
 Philox stream, and repetition r reads the r-th binomial draw of it, the
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ArgumentError, DegenerateModelError, EstimationError
 from .families import ProcessFamily
 from .protocols import Protocol, branch_distribution
-from .tangent import DEFAULT_RANK_TOL, FisherMatrix, OneForm, fisher_dual
+from .tangent import FisherMatrix, OneForm, fisher_dual
 
 LINEAR_REGIME_WARNING = 0.3
 STREAM_VERSION = 3
@@ -61,8 +62,7 @@ def sample_estimates(
     shots: int,
     repetitions: int,
     seed: int,
-    return_parameter_estimates: bool = False,
-):
+) -> np.ndarray:
     """Repeated runs of the estimator; returns the array of q estimates.
 
     Shots are apportioned over the branches by largest remainder, and each
@@ -72,9 +72,7 @@ def sample_estimates(
     stream.  Each branch reads the sine of its linear combination: the
     arcsine of the clamped + frequency is the per-branch
     maximum-likelihood readout, and the q estimate recombines the readouts
-    with the estimator weights.  With ``return_parameter_estimates`` and as
-    many branches as parameters, the per-branch readouts are also solved
-    for full parameter estimates (for covariance checks).
+    with the estimator weights.
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
@@ -104,14 +102,7 @@ def sample_estimates(
     for b, (n, p) in enumerate(zip(per_branch, p_plus)):
         plus[:, b] = branch_rng(seed, b).binomial(int(n), p, size=repetitions)
     s_hat = np.arcsin(np.clip(2.0 * (plus / per_branch) - 1.0, -1.0, 1.0))
-    q_hats = s_hat @ coeffs
-    if not return_parameter_estimates:
-        return q_hats
-    readouts = np.array([branch.readout_form.components for branch in branches])
-    if readouts.shape[0] != readouts.shape[1]:
-        raise EstimationError("parameter estimates need exactly one branch per parameter")
-    theta_hats = np.linalg.solve(readouts, s_hat.T).T
-    return q_hats, theta_hats
+    return s_hat @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +184,15 @@ def report(
     shots: int,
     fisher: FisherMatrix | None = None,
     dq: OneForm | None = None,
-    covariance: np.ndarray | None = None,
     tolerance: float = 0.05,
 ) -> dict:
     """Summarize estimator samples against the per-shot bound, as the
     JSON-ready dict that ``simulate`` prints under ``"report"``.
 
     The variance standard error uses the Gaussian chi-squared
-    approximation sqrt(2/(R-1)) * variance.  With a Fisher matrix and
-    either a full empirical covariance or the target form, the report
-    also checks the Cramer-Rao matrix (or marginal) inequality with a
-    three-standard-error slack.
+    approximation sqrt(2/(R-1)) * variance.  With a Fisher matrix and the
+    target form, the report also checks the marginal Cramer-Rao inequality
+    with a three-standard-error slack.
     """
     samples = np.asarray(q_hat_samples, dtype=float).reshape(-1)
     reps = samples.size
@@ -221,16 +210,7 @@ def report(
 
     ccrb_psd = None
     ccrb_min = None
-    if fisher is not None and covariance is not None:
-        covariance = np.asarray(covariance, dtype=float)
-        if covariance.shape != fisher.entries.shape:
-            raise ArgumentError("empirical covariance shape must match the Fisher matrix")
-        limit = np.linalg.pinv(fisher.entries, rcond=DEFAULT_RANK_TOL, hermitian=True) / shots
-        gap = covariance - limit
-        slack = 3.0 * np.sqrt(2.0 / (reps - 1)) * float(np.max(np.diag(covariance)))
-        ccrb_min = float(np.linalg.eigvalsh(0.5 * (gap + gap.T)).min())
-        ccrb_psd = bool(ccrb_min >= -slack)
-    elif fisher is not None and dq is not None:
+    if fisher is not None and dq is not None:
         marginal = fisher_dual(fisher, dq) / shots
         ccrb_min = float(variance - marginal)
         ccrb_psd = bool(ccrb_min >= -3.0 * stderr)

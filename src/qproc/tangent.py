@@ -80,14 +80,6 @@ def pair(dq: OneForm, v: TangentVector) -> float:
     return float(dq.components @ v.components)
 
 
-def fisher_form(fisher: FisherMatrix, u: TangentVector, v: TangentVector) -> float:
-    """Covariant action F(u, v) = F_jk u^j v^k; the u = v case is the
-    scalar Fisher information of the single-parameter problem along u."""
-    if fisher.size != len(u) or fisher.size != len(v):
-        raise ArgumentError("size mismatch between Fisher matrix and vectors")
-    return float(u.components @ fisher.entries @ v.components)
-
-
 def _pseudo_solve(fisher: FisherMatrix, form: np.ndarray) -> tuple[np.ndarray, float]:
     """Raise the index on a form with the spectral pseudo-inverse.
 

@@ -32,14 +32,13 @@ from qproc import (
     protocol_fisher,
     qfi_from_sld,
     qfi_pure,
-    qubit_fisher_scan,
     sample_estimates,
     seminorm,
     sld,
     zoo_protocol,
 )
 
-from conftest import random_density, random_pure_state, random_traceless_hermitian
+from conftest import qubit_fisher_grid, random_density, random_pure_state, random_traceless_hermitian
 
 RNG = np.random.default_rng(0xACCE97)
 
@@ -184,7 +183,7 @@ def test_criterion_5_chain_ordering():
         assert q_values.max() <= norm_sq + 1e-6
         for chunk_start in range(0, n_states, 100):
             chunk = states[chunk_start : chunk_start + 100]
-            f_values = qubit_fisher_scan(chunk, gen, directions)
+            f_values = qubit_fisher_grid(chunk, gen, directions)
             gap = f_values - q_values[chunk_start : chunk_start + 100, None]
             worst_violation = max(worst_violation, float(gap.max()))
         assert worst_violation < 1e-6

@@ -561,6 +561,20 @@ class TestSchemaHandling:
         assert main(["bound", config]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "schema"
 
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target, via):
+        # the IsADirectoryError or FileNotFoundError of the write once exited 3 as an internal defect
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+        config = {"schema_version": 1, "family": {"kind": "bloch"}, "q": [0.0, 0.0, 2.0]}
+        flags = ["--output", str(out)] if via == "flag" else []
+        if via == "config":
+            config["output"] = {"path": str(out)}
+        assert main(["bound", write_config(tmp_path, config), *flags]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["error"] == "schema"
+        assert repr(str(out)) in error["message"]
+
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(config):
             raise RuntimeError("unexpected state")

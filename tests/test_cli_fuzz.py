@@ -166,3 +166,16 @@ def test_non_integer_dimension_cap_exits_2():
     code, out = run(["bound"], BY_NAME["bound-pauliz-corner"]["config"], cap="abc")
     assert code == 2, out
     assert "QPROC_MAX_DIM" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+@pytest.mark.parametrize("kind", ["pauli-z", "bloch"])
+def test_non_positive_dimension_cap_exits_2(kind, cap):
+    # a pauli-z bound once ran under a cap below 1, while a bloch bound named it as the cap it exceeded
+    q = [1.0, 0.5] if kind == "pauli-z" else [1.0, 0.5, 0.2]
+    config = {"schema_version": 1, "family": {"kind": kind}, "q": q}
+    code, out = run(["bound"], config, cap=cap)
+    assert code == 2, out
+    error = json.loads(out)
+    assert error["error"] == "ArgumentError"
+    assert "QPROC_MAX_DIM must be a positive integer" in error["message"]

@@ -12,7 +12,6 @@ from qproc import (
     ResourceLimitError,
     born_probabilities,
     evolve_pure,
-    identity,
     pauli_z_generators,
     seminorm,
     tensor,
@@ -64,11 +63,11 @@ class TestPauliZGenerators:
 
 class TestTensor:
     def test_pauli_z_with_identity(self):
-        out = tensor([HermitianOperator(SIGMA_Z), identity(2)])
+        out = tensor([HermitianOperator(SIGMA_Z), HermitianOperator(np.eye(2))])
         assert np.array_equal(out.entries, SZ_TENSOR_I)
 
     def test_identity_alone(self):
-        out = tensor([identity(2)])
+        out = tensor([HermitianOperator(np.eye(2))])
         assert np.array_equal(out.entries, np.eye(2))
 
     def test_sigma_y_times_sigma_x(self):
@@ -86,7 +85,7 @@ class TestSeminorm:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_identity_has_zero_spread(self, dim):
-        assert seminorm(identity(dim)) == pytest.approx(0.0, abs=1e-14)
+        assert seminorm(HermitianOperator(np.eye(dim))) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_qubit_combination(self):
         gens = pauli_z_generators(2)
@@ -133,7 +132,7 @@ class TestEvolvePure:
 
     def test_dim_mismatch(self):
         with pytest.raises(ArgumentError):
-            evolve_pure(PureState(np.array([1.0, 0.0])), identity(4))
+            evolve_pure(PureState(np.array([1.0, 0.0])), HermitianOperator(np.eye(4)))
 
     def test_norm_preserved(self, rng):
         for _ in range(200):

@@ -294,7 +294,8 @@ class TestZoo:
     def test_vertex_choice_saturates(self):
         family = PauliZFamily(3)
         dq = OneForm([1.0, 0.6, -0.3])
-        amplitudes = ZooAmplitudes.for_vertex(dq.components)
+        # marginals (1, q_2, q_3): tangent at the leading vertex
+        amplitudes = ZooAmplitudes([1.0, 0.6, -0.3])
         protocol = zoo_protocol(amplitudes)
         fisher = protocol_fisher(protocol, family)
         assert np.allclose(fisher.entries, amplitudes.fisher().entries, atol=1e-8)
@@ -304,7 +305,8 @@ class TestZoo:
     def test_edge_choice_saturates_along_edge(self):
         family = PauliZFamily(3)
         dq = OneForm([1.0, 1.0, 0.4])
-        amplitudes = ZooAmplitudes.for_edge(dq.components, edge_size=2)
+        # marginals 1 on the two edge slots, q_3 beyond
+        amplitudes = ZooAmplitudes([1.0, 1.0, 0.4])
         fisher = protocol_fisher(zoo_protocol(amplitudes), family)
         for b in (TangentVector([1.0, 0.0, 0.0]), TangentVector([0.5, 0.5, 0.0])):
             assert kissing_residual(fisher, b, family, dq) < 1e-9
@@ -557,7 +559,6 @@ class TestStackedPass:
 class TestProtocolFisher:
     def test_theta_independent_branch_gives_zero(self):
         from qproc import Branch, Povm, Protocol, PureState
-        from qproc.operators import HermitianOperator
 
         # an eigenstate of every commuting generator carries no information
         fiducial = PureState(np.eye(4)[0])

@@ -12,18 +12,18 @@ from qproc import (
     Povm,
     PureState,
     bloch_direction_grid,
+    born_rule,
     classical_fisher,
     hyperface_protocol,
     qfi_from_sld,
     qfi_pure,
-    qubit_fisher_scan,
     sld,
     verify_chain,
 )
 from qproc.operators import SIGMA_X, SIGMA_Z
-from qproc.qfisher import qubit_basis
+from qproc.qfisher import _fisher_stack, qubit_basis
 
-from conftest import random_density, random_pure_state, random_traceless_hermitian
+from conftest import qubit_fisher_grid, random_density, random_pure_state, random_traceless_hermitian
 
 
 def commutator_derivative(rho_entries, generator_entries):
@@ -140,7 +140,6 @@ class TestClassicalFisher:
 
     def test_stack_checks_every_distribution(self):
         from qproc import InvariantViolation
-        from qproc.qfisher import _fisher_stack
 
         jac = np.array([[[0.5], [-0.5]]] * 2)
         good = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -185,29 +184,25 @@ class TestMeasurementCeiling:
             gen = family.generator(b)
             psi = random_pure_state(rng, 2)
             q_bb = qfi_pure(psi, gen)
-            values = qubit_fisher_scan(psi.amplitudes[None, :], gen, directions)[0]
+            values = qubit_fisher_grid(psi.amplitudes[None, :], gen, directions)[0]
             assert values.max() <= q_bb + 1e-6
 
     def test_brute_force_wrapper(self, rng):
         family = BlochFamily()
         b = np.array([0.0, 0.0, 1.0])
         plus = PureState(np.array([1, 1]) / np.sqrt(2))
-        values = qubit_fisher_scan(plus.amplitudes[None, :], family.generator(b), bloch_direction_grid(4000))[0]
+        values = qubit_fisher_grid(plus.amplitudes[None, :], family.generator(b), bloch_direction_grid(4000))[0]
         best = values[np.argmax(values)]
         assert best <= qfi_pure(plus, family.generator(b)) + 1e-6
         assert best == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
-    def test_degenerate_direction_refused(self, bad):
-        # a zero or non-finite direction names no measurement basis
-        directions = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 0.0]])
-        with pytest.raises(ArgumentError, match="directions"):
-            qubit_fisher_scan(np.array([[1.0, 0.0]]), HermitianOperator(0.5 * SIGMA_Z), directions)
-
 
 class TestSharedFloor:
     def test_scan_equals_classical_fisher(self, rng):
+        # one batched _fisher_stack over 50 (state, generator, measurement) triples against the
+        # per-pair classical_fisher of each
         family = BlochFamily()
+        trials = []
         for trial in range(50):
             psi = random_pure_state(rng, 2)
             generator = family.generator(rng.standard_normal(3))
@@ -217,8 +212,9 @@ class TestSharedFloor:
                 # the state's own Bloch vector: one outcome falls to the floor
                 a, b = psi.amplitudes
                 direction = np.array([2 * (np.conj(a) * b).real, 2 * (np.conj(a) * b).imag, abs(a) ** 2 - abs(b) ** 2])
-            scan = qubit_fisher_scan(psi.amplitudes[None, :], generator, direction[None, :])[0, 0]
-            povm = Povm.from_basis(qubit_basis(direction / np.linalg.norm(direction)).T, ("+", "-"))
-            columns = psi.columns()
-            probs, jac = povm.born(columns, (-1j * generator.entries @ columns)[None])
+            trials.append((psi.columns(), generator.entries, qubit_basis(direction / np.linalg.norm(direction)).T))
+        columns, generators, bases = (np.array(stack) for stack in zip(*trials))
+        batched = _fisher_stack(*born_rule(bases, columns, ((-1j * generators) @ columns)[:, None]))[:, 0, 0]
+        for scan, (column, generator, basis) in zip(batched, trials, strict=True):
+            probs, jac = Povm.from_basis(basis, ("+", "-")).born(column, (-1j * generator @ column)[None])
             assert scan == pytest.approx(classical_fisher(probs, jac).entries[0, 0], rel=0, abs=1e-12)

@@ -259,20 +259,6 @@ class TestPlusProbabilities:
             assert p_plus == branch_distribution(branch, family, theta)[plus]
 
 
-class TestParameterEstimates:
-    def test_square_readout_system(self):
-        family = PauliZFamily(2)
-        dq = OneForm([1.0, 0.5])
-        protocol = corner_protocol(dq)
-        q_hats, theta_hats = sample_estimates(
-            protocol, family, [0.0, 0.0], 2000, 50, seed=9, return_parameter_estimates=True
-        )
-        assert theta_hats.shape == (50, 2)
-        # q estimate is the target contraction of the parameter estimate
-        recombined = theta_hats @ dq.components
-        assert np.allclose(recombined, q_hats, atol=1e-12)
-
-
 class TestDebias:
     def test_identity_correction(self, rng):
         samples = rng.standard_normal(100)
@@ -331,22 +317,6 @@ class TestReport:
         samples = rng.normal(0.0, 0.011, size=5000)
         fisher = FisherMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
         summary = report(samples, bound_per_shot=1.0, shots=10_000, fisher=fisher, dq=OneForm([1.0, 0.5]))
-        assert summary["ccrb_psd"] is True
-
-    def test_matrix_ccrb_check(self, rng):
-        from qproc import FisherMatrix
-
-        family = PauliZFamily(2)
-        dq = OneForm([1.0, 0.5])
-        protocol = corner_protocol(dq)
-        q_hats, theta_hats = sample_estimates(
-            protocol, family, [0.0, 0.0], 4000, 400, seed=13, return_parameter_estimates=True
-        )
-        from qproc import protocol_fisher
-
-        fisher = protocol_fisher(protocol, family)
-        covariance = np.cov(theta_hats.T)
-        summary = report(q_hats, bound_per_shot=1.0, shots=4000, fisher=fisher, covariance=covariance)
         assert summary["ccrb_psd"] is True
 
     def test_csv_row_shape(self, rng, capsys):
