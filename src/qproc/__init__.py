@@ -87,7 +87,6 @@ from .tangent import (
     TangentVector,
     canonicalize,
     fisher_dual,
-    fisher_orthogonal_vector,
     pair,
 )
 

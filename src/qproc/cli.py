@@ -7,10 +7,11 @@ fixture.  A small checker over ``CONFIG_SCHEMA`` validates each config,
 overrides included, and names its shallowest violation.
 
 Exit codes: 0 success, 1 verification failure (a bound or saturation
-check did not hold), 2 usage or schema error (an unreadable config or
-generators file and an unwritable output path included), or a run that
-ran out of memory, 3 an internal error.  Every error prints one JSON
-object, never a traceback.
+check did not hold), 2 usage or schema error (a config or generators
+file that is missing, unreadable, or not UTF-8 JSON within the parser's
+nesting and integer-digit limits, and an unwritable output path
+included), or a run that ran out of memory, 3 an internal error.  Every
+error prints one JSON object, never a traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .families import (
     EpsilonPairFamily,
     PauliZFamily,
     ProcessFamily,
-    dual_norm,
     minimize_norm,
     unit_ball_mesh,
 )
@@ -197,26 +197,26 @@ def _violations(schema: dict, value, path: tuple = ()):
 check_schema_keywords(CONFIG_SCHEMA)
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON of a file; one that is missing, unreadable, not UTF-8, not
+    JSON, or past the parser's nesting and integer-digit limits is a SchemaError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{what} file {path!r} is not valid JSON: {type(exc).__name__}: {exc}") from exc
+
+
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """Read and validate a config; ``overrides`` replace entries of its
     simulate block before validation, so they are checked like the file."""
-    config_path = Path(path)
-    if not config_path.exists():
-        raise SchemaError(f"config file {path!r} does not exist")
-    try:
-        config = json.loads(config_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config is not valid JSON: {exc}") from exc
-    except OSError as exc:
-        raise SchemaError(f"cannot read config file {path!r}: {exc}") from exc
+    config = _read_json(path, "config")
     if overrides and isinstance(config, dict) and isinstance(config.setdefault("simulate", {}), dict):
         config["simulate"].update(overrides)
     worst = max(_violations(CONFIG_SCHEMA, config), key=lambda v: (-len(v[0]), v[0], v[1]), default=None)
     if worst is not None:
         raise SchemaError(f"config violates the schema: {worst[2]}")
-    generators_path = config["family"].get("generators_path")
-    if generators_path is not None and not Path(generators_path).exists():
-        raise SchemaError(f"referenced generators file {generators_path!r} does not exist")
     return config
 
 
@@ -233,13 +233,7 @@ def family_from_config(config: dict) -> ProcessFamily:
         family = EpsilonPairFamily(section.get("epsilon", 0.0))
     else:
         if "generators_path" in section:
-            generators_path = section["generators_path"]
-            try:
-                nested = json.loads(Path(generators_path).read_text())
-            except ValueError as exc:
-                raise SchemaError(f"generators file {generators_path!r} is not valid JSON: {exc}") from exc
-            except OSError as exc:
-                raise SchemaError(f"cannot read generators file {generators_path!r}: {exc}") from exc
+            nested = _read_json(section["generators_path"], "generators")
         elif "generators" in section:
             nested = section["generators"]
         else:
@@ -349,7 +343,7 @@ def cmd_simulate(config: dict) -> tuple[int, dict]:
         raise SchemaError("simulate runs need a simulate block")
     protocol = protocol_from_config(config, family)
     dq = OneForm(config["q"])
-    bound = dual_norm(family, dq) ** 2
+    bound = minimize_norm(family, dq).dual_norm ** 2
     theta = np.asarray(sim.get("theta_true", [0.0] * family.n_params), dtype=float)
     if theta.size != family.n_params:
         raise SchemaError("theta_true length does not match the family")

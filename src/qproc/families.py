@@ -256,14 +256,15 @@ class NormMinimizer:
 
     vector: TangentVector
     norm: float
-    dual_norm: float
     at_corner: bool
     adjacent_faces: tuple[tuple[int, ...], ...] | None = None
     gap: float = 0.0
 
+    @property
+    def dual_norm(self) -> float:
+        return 1.0 / self.norm
+
     def __post_init__(self):
-        if not abs(self.dual_norm * self.norm - 1.0) <= 1e-10:
-            raise InvariantViolation("dual norm must invert the minimal norm")
         if not self.dual_norm < MAX_DUAL_NORM:
             raise ArgumentError(
                 f"the variance bound {self.dual_norm:.3e}^2 overflows a float; rescale the target or the generators"
@@ -300,12 +301,7 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     elif isinstance(family, BlochFamily):
         vec = q / (q @ q)
         norm = float(np.linalg.norm(vec))
-        result = NormMinimizer(
-            vector=TangentVector(vec),
-            norm=norm,
-            dual_norm=1.0 / norm,
-            at_corner=False,
-        )
+        result = NormMinimizer(vector=TangentVector(vec), norm=norm, at_corner=False)
     else:
         try:
             result = _numeric_minimizer(family, q)
@@ -325,11 +321,9 @@ def _polytope_minimizer(q: np.ndarray) -> NormMinimizer:
     mags = np.abs(canonical.canonical.components)
     at_corner = bool(np.any(np.abs(mags - 1.0) > 1e-12))
     faces = _adjacent_faces(canonical) if at_corner else None
-    norm = float(np.abs(vec).sum())
     return NormMinimizer(
         vector=TangentVector(vec),
-        norm=norm,
-        dual_norm=1.0 / norm,
+        norm=float(np.abs(vec).sum()),
         at_corner=at_corner,
         adjacent_faces=faces,
     )
@@ -526,7 +520,6 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     return NormMinimizer(
         vector=TangentVector(center),
         norm=best,
-        dual_norm=1.0 / best,
         at_corner=at_corner,
         adjacent_faces=faces,
         gap=max(best - lower, 0.0),

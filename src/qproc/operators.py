@@ -188,10 +188,6 @@ class Povm:
             dense.append(np.eye(self.dim) - self.basis @ self.basis.conj().T)
         return tuple(HermitianOperator(entries) for entries in dense)
 
-    def born(self, columns: np.ndarray, derivatives: np.ndarray | None = None):
-        """:func:`born_rule` over every outcome, the complement last."""
-        return born_rule(self.basis, columns, derivatives, self.complement)
-
     @classmethod
     def from_basis(cls, vectors: np.ndarray, labels) -> "Povm":
         """Projective POVM built from the columns of an orthonormal basis."""
@@ -305,8 +301,8 @@ def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | 
 
 
 def outcome_distribution(povm: Povm, columns: np.ndarray) -> np.ndarray:
-    """The Born distribution of :meth:`Povm.born`, checked and normalized."""
-    probs = np.clip(povm.born(columns), 0.0, 1.0)
+    """The :func:`born_rule` distribution over every outcome of the POVM, checked and normalized."""
+    probs = np.clip(born_rule(povm.basis, columns, complement=povm.complement), 0.0, 1.0)
     total = probs.sum()
     if not abs(total - 1.0) < PROB_SUM_TOL:  # a NaN total fails too
         raise InvariantViolation(f"Born probabilities sum to {total!r}; not a distribution")

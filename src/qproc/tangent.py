@@ -80,12 +80,16 @@ def pair(dq: OneForm, v: TangentVector) -> float:
     return float(dq.components @ v.components)
 
 
-def _pseudo_solve(fisher: FisherMatrix, form: np.ndarray) -> tuple[np.ndarray, float]:
-    """Raise the index on a form with the spectral pseudo-inverse.
+def fisher_dual(fisher: FisherMatrix, dq: OneForm) -> float:
+    """Contravariant invariant q_j (F^+)^{jk} q_k, through the spectral pseudo-inverse.
 
-    Returns (F^+ q, q . F^+ q).  A form with weight in the null space of
-    F has infinite marginal variance, which is an error, not a number.
+    This is the optimal variance for estimating q when none of the other
+    parameters can be controlled.  A form with weight in the null space
+    of F has infinite marginal variance, which is an error, not a number.
     """
+    if fisher.size != len(dq):
+        raise ArgumentError("size mismatch between Fisher matrix and form")
+    form = dq.components
     eigs, vecs = np.linalg.eigh(fisher.entries)
     top = max(float(eigs[-1]), 0.0)
     cutoff = DEFAULT_RANK_TOL * top
@@ -97,39 +101,7 @@ def _pseudo_solve(fisher: FisherMatrix, form: np.ndarray) -> tuple[np.ndarray, f
             "form has a component in the null space of the Fisher matrix; "
             "the marginalized variance is unbounded"
         )
-    raised = vecs[:, keep] @ (coeffs[keep] / eigs[keep])
-    value = float(np.sum(coeffs[keep] ** 2 / eigs[keep]))
-    return raised, value
-
-
-def fisher_dual(fisher: FisherMatrix, dq: OneForm) -> float:
-    """Contravariant invariant q_j (F^+)^{jk} q_k.
-
-    This is the optimal variance for estimating q when none of the other
-    parameters can be controlled.
-    """
-    if fisher.size != len(dq):
-        raise ArgumentError("size mismatch between Fisher matrix and form")
-    _, value = _pseudo_solve(fisher, dq.components)
-    return value
-
-
-def fisher_orthogonal_vector(fisher: FisherMatrix, dq: OneForm) -> TangentVector:
-    """Shortest vector (in the Fisher metric) advancing one unit of q.
-
-    Raising the index on dq gives the vector orthogonal, per the Fisher
-    metric, to the level surfaces of q; rescaling it to reach the unit
-    surface produces the vector whose single-parameter problem has the
-    same precision bound as no-control estimation of q.
-    """
-    if fisher.size != len(dq):
-        raise ArgumentError("size mismatch between Fisher matrix and form")
-    raised, value = _pseudo_solve(fisher, dq.components)
-    vec = TangentVector(raised / value)
-    residual = abs(pair(dq, vec) - 1.0)
-    if residual > 1e-10:
-        raise InvariantViolation(f"unit-advance normalization off by {residual:.3e}")
-    return vec
+    return float(np.sum(coeffs[keep] ** 2 / eigs[keep]))
 
 
 @dataclass(frozen=True)
@@ -147,7 +119,6 @@ class CanonicalForm:
     permutation: tuple[int, ...]
     scale: float
     sign: int
-    dropped: frozenset[int]
     canonical: OneForm
     n_original: int
 
@@ -161,14 +132,9 @@ class CanonicalForm:
         if self.scale <= 0 or self.sign not in (1, -1):
             raise InvariantViolation("scale must be positive and sign must be +/-1")
 
-    def restore(self, canonical_components) -> np.ndarray:
-        """Map components in canonical slots back to the original indexing."""
-        canonical_components = np.asarray(canonical_components, dtype=float).reshape(-1)
-        if canonical_components.size != len(self.permutation):
-            raise ArgumentError("component count does not match the canonical length")
-        out = np.zeros(self.n_original)
-        out[list(self.permutation)] = self.sign * self.scale * canonical_components
-        return out
+    @property
+    def dropped(self) -> frozenset[int]:
+        return frozenset(range(self.n_original)) - set(self.permutation)
 
     def embed_signs(self, signs) -> np.ndarray:
         """Place canonical-slot sign entries at their original indices.
@@ -203,12 +169,10 @@ def canonicalize(dq: OneForm) -> CanonicalForm:
     scale = abs(float(lead))
     canonical = comps[order] / lead
     canonical[0] = 1.0
-    dropped = frozenset(int(j) for j in range(comps.size) if j not in set(order.tolist()))
     return CanonicalForm(
         permutation=tuple(int(j) for j in order),
         scale=scale,
         sign=sign,
-        dropped=dropped,
         canonical=OneForm(canonical),
         n_original=comps.size,
     )

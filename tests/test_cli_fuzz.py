@@ -135,6 +135,32 @@ def test_malformed_values_exit_2(name, path, value):
     assert set(json.loads(out)) == {"error", "message"}
 
 
+DEEP = b"[" * 100_000  # nested past the parser's recursion limit
+CUSTOM = b'{"schema_version": 1, "family": {"kind": "custom-unitary", "generators_path": "%s"}, "q": [1.0]}'
+# (config bytes, generators file bytes or None): each file is unreadable as JSON
+MALFORMED_FILES = {
+    "config-not-utf8": (b'{"schema_version": 1, "family": {"kind": "bloch"}, "q": [1.0, 0.5, "\xff"]}', None),
+    "config-nested-too-deep": (DEEP, None),
+    "config-integer-over-the-digit-limit": (b'{"schema_version": 1, "q": [1' + b"0" * 5000 + b"]}", None),
+    "generators-nested-too-deep": (CUSTOM, DEEP),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config, generators", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_files_exit_2(config, generators, tmp_path):
+    # each exited 3: a UnicodeDecodeError, a RecursionError or a ValueError the read did not catch
+    path, generators_path = tmp_path / "config.json", tmp_path / "generators.json"
+    path.write_bytes(config.replace(b"%s", str(generators_path).encode()))
+    if generators is not None:
+        generators_path.write_bytes(generators)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["bound", str(path)])
+    assert code == 2, stdout.getvalue()
+    assert json.loads(stdout.getvalue())["error"] == "schema"
+
+
 def test_variance_bound_beyond_the_float_range_exits_2():
     tiny_z = [[[1e-300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e-300, 0.0]]]
     config = {"schema_version": 1, "family": {"kind": "custom-unitary", "generators": [tiny_z]}, "q": [1.0]}
@@ -152,6 +178,19 @@ def test_variance_bound_below_the_float_range_exits_2(command):
     code, out = run([command], config)
     assert code == 2, out
     assert "underflows" in json.loads(out)["message"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bound", "verify", "protocol", "simulate"])
+def test_zero_target_is_refused_alike_by_every_command(command):
+    # simulate took the bound from dual_norm's zero-form convention and exited 2 only
+    # later, with an UnboundedVarianceError from the Fisher matrix
+    config = {"schema_version": 1, "family": {"kind": "pauli-z", "N": 2}, "q": [0.0, 0.0]}
+    config["protocol"] = {"kind": "hyperface", "z": [1, 1]}
+    config["simulate"] = {"shots": 10, "repetitions": 2, "seed": 0}
+    code, out = run([command], config)
+    assert code == 2, out
+    assert json.loads(out) == {"error": "ArgumentError", "message": "cannot minimize against the zero form"}
 
 
 def test_custom_family_above_the_dimension_cap_exits_2():

@@ -22,6 +22,7 @@ from qproc import (
     UnsupportedProtocolError,
     ZooAmplitudes,
     bloch_protocol,
+    born_rule,
     branch_distribution,
     corner_protocol,
     hyperedge_protocol,
@@ -490,8 +491,8 @@ def per_branch_fisher(protocol, family) -> np.ndarray:
     """The Fisher matrix of the protocol one branch at a time, mixed in branch order."""
     total = np.zeros((family.n_params, family.n_params))
     for branch in protocol.branches:
-        columns = branch.fiducial.columns()
-        probs, jac = branch.measurement.born(columns, -1j * family.apply(columns))
+        columns, m = branch.fiducial.columns(), branch.measurement
+        probs, jac = born_rule(m.basis, columns, -1j * family.apply(columns), m.complement)
         total += branch.weight * classical_fisher(probs, jac).entries
     return total
 

@@ -216,5 +216,6 @@ class TestSharedFloor:
         columns, generators, bases = (np.array(stack) for stack in zip(*trials))
         batched = _fisher_stack(*born_rule(bases, columns, ((-1j * generators) @ columns)[:, None]))[:, 0, 0]
         for scan, (column, generator, basis) in zip(batched, trials, strict=True):
-            probs, jac = Povm.from_basis(basis, ("+", "-")).born(column, (-1j * generator @ column)[None])
+            m = Povm.from_basis(basis, ("+", "-"))
+            probs, jac = born_rule(m.basis, column, (-1j * generator @ column)[None], m.complement)
             assert scan == pytest.approx(classical_fisher(probs, jac).entries[0, 0], rel=0, abs=1e-12)
