@@ -45,6 +45,7 @@ from .operators import (
 )
 from .protocols import (
     Branch,
+    BranchStack,
     Protocol,
     SignString,
     ZooAmplitudes,

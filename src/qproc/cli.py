@@ -330,7 +330,7 @@ def cmd_protocol(config: dict) -> tuple[int, dict]:
         "fisher": [[float(x) for x in row] for row in fisher.entries],
         "kissing_residual": residual,
         "variance_bound": minimizer.dual_norm**2,
-        "weights": [branch.weight for branch in protocol.branches],
+        "weights": protocol.weights.tolist(),
     }
     code = 1 if (_claims_optimality(config.get("protocol")) and not _kisses(residual, minimizer.norm, dq)) else 0
     return code, payload

@@ -224,10 +224,10 @@ def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.n
     """
     c = np.asarray(canonical_components, dtype=float).reshape(-1)
     m = c.size
-    signs = np.where(c >= 0, 1, -1).astype(int)
-    strings = np.tile(signs, (m, 1))
-    for k in range(1, m):
-        strings[k, k:] *= -1
+    signs = np.where(c >= 0, 1, -1)
+    # string k >= 1 flips slots k onward: slot j flips in the strings 1..j
+    slots = np.arange(m)
+    strings = np.where((slots[None, :] >= slots[:, None]) & (slots[:, None] > 0), -signs, signs)
     mags = np.abs(c)
     weights = np.empty(m)
     weights[0] = 0.5 * (1.0 + mags[-1])
@@ -239,7 +239,7 @@ def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.n
 def _adjacent_faces(canonical: CanonicalForm) -> tuple[tuple[int, ...], ...]:
     """Faces adjacent to the target's vertex, as sign strings in the original indexing."""
     strings, _ = cross_polytope_decomposition(canonical.canonical.components)
-    return tuple(tuple(int(s) for s in canonical.embed_signs(row)) for row in strings)
+    return tuple(map(tuple, canonical.embed_signs(strings).tolist()))
 
 
 @dataclass(frozen=True)

@@ -42,25 +42,25 @@ def max_dim() -> int:
     return cap
 
 
-def _frozen(a: np.ndarray, what: str = "entries") -> np.ndarray:
-    """A read-only copy of the array, rejecting non-finite entries: a NaN
-    would pass every ``defect > tol`` check, since the comparison is False."""
-    out = np.array(a)
+def _frozen(a: np.ndarray, what: str = "entries", dtype=None) -> np.ndarray:
+    """A read-only copy of the array, cast to ``dtype`` if given, rejecting non-finite
+    entries: a NaN would pass every ``defect > tol`` check, since the comparison is False."""
+    out = np.array(a, dtype=dtype)
     if not np.isfinite(out).all():
         raise InvariantViolation(f"{what} must be finite numbers")
     out.setflags(write=False)
     return out
 
 
-def _hermitian(a, what: str, dtype=complex) -> np.ndarray:
-    """The read-only copy of :func:`_frozen`, checked to be a nonempty square matrix with
+def _hermitian(a, what: str, dtype=complex, stacked: bool = False) -> np.ndarray:
+    """The read-only copy of :func:`_frozen`, checked to be a nonempty square matrix, or (B, dim, dim) stack, with
     max |A - A^dag| <= HERMITICITY_TOL; never symmetrised, so a stored v v^dag reads back exactly."""
-    out = _frozen(np.asarray(a, dtype=dtype), f"{what} entries")
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ArgumentError(f"{what} must be a square matrix, got shape {out.shape}")
-    if out.shape[0] < 1:
+    out = _frozen(a, f"{what} entries", dtype)
+    if out.ndim != 2 + stacked or out.shape[-1] != out.shape[-2]:
+        raise ArgumentError(f"{what} must be a square matrix, got shape {out.shape[stacked:]}")
+    if out.shape[-1] < 1:
         raise ArgumentError(f"{what} dimension must be at least 1")
-    defect = np.max(np.abs(out - out.conj().T))
+    defect = np.max(np.abs(out - np.swapaxes(out.conj(), -1, -2)))
     if defect > HERMITICITY_TOL:
         raise InvariantViolation(f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e} > {HERMITICITY_TOL:g}")
     return out
@@ -121,12 +121,7 @@ class DensityOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _hermitian(self.entries, "density matrix")
-        _psd(entries, "density matrix")
-        tr = np.real(np.trace(entries))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvariantViolation(f"density matrix trace {tr!r} deviates from 1")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _density(self.entries))
 
     @property
     def dim(self) -> int:
@@ -138,6 +133,34 @@ class DensityOperator:
         eigs, vecs = np.linalg.eigh(self.entries)
         keep = eigs > 0.0
         return vecs[:, keep] * np.sqrt(eigs[keep])
+
+
+def _density(entries, stacked: bool = False) -> np.ndarray:
+    """The read-only density matrix, or (B, dim, dim) stack, checked Hermitian, PSD and of unit trace."""
+    rho = _hermitian(entries, "density matrix", stacked=stacked)
+    _psd(rho, "density matrix")
+    traces = np.real(np.trace(rho, axis1=-2, axis2=-1)).reshape(-1)
+    if (off := np.abs(traces - 1.0) > TRACE_TOL).any():
+        raise InvariantViolation(f"density matrix trace {traces[off][0]!r} deviates from 1")
+    return rho
+
+
+def _povm_basis(basis, labels, stacked: bool = False) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The frozen basis and labels of a :class:`Povm`, checked as it documents, or of a (B, dim, m) stack of bases."""
+    basis = _frozen(basis, dtype=complex)
+    labels = tuple(map(str, labels))
+    if basis.ndim != 2 + stacked or basis.shape[-1] < 1:
+        raise ArgumentError(f"POVM basis must be a (dim, n_outcomes) matrix, got shape {basis.shape[stacked:]}")
+    if len(labels) - basis.shape[-1] not in (0, 1):
+        raise ArgumentError("POVM needs one label per outcome, plus at most one for the complement")
+    if len(set(labels)) != len(labels):
+        raise ArgumentError("POVM outcome labels must be distinct")
+    adjoint = np.swapaxes(basis.conj(), -1, -2)
+    gram = adjoint @ basis if len(labels) > basis.shape[-1] else basis @ adjoint
+    defects = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1)).reshape(-1)
+    if (off := defects > TRACE_TOL).any():
+        raise InvariantViolation(f"POVM basis misses its completeness check by {defects[off][0]:.3e}")
+    return basis, labels
 
 
 @dataclass(frozen=True)
@@ -156,18 +179,7 @@ class Povm:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        basis = _frozen(np.asarray(self.basis, dtype=complex))
-        labels = tuple(str(label) for label in self.labels)
-        if basis.ndim != 2 or basis.shape[1] < 1:
-            raise ArgumentError(f"POVM basis must be a (dim, n_outcomes) matrix, got shape {basis.shape}")
-        if len(labels) - basis.shape[1] not in (0, 1):
-            raise ArgumentError("POVM needs one label per outcome, plus at most one for the complement")
-        if len(set(labels)) != len(labels):
-            raise ArgumentError("POVM outcome labels must be distinct")
-        gram = basis.conj().T @ basis if len(labels) > basis.shape[1] else basis @ basis.conj().T
-        defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
-        if defect > TRACE_TOL:
-            raise InvariantViolation(f"POVM basis misses its completeness check by {defect:.3e}")
+        basis, labels = _povm_basis(self.basis, self.labels)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "labels", labels)
 
@@ -196,7 +208,8 @@ class Povm:
 
 def matrix_to_pairs(matrix: np.ndarray) -> list:
     """Complex matrix as row-major nested [re, im] pairs (the JSON wire form)."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(matrix)]
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def matrix_from_pairs(nested) -> np.ndarray:
@@ -300,12 +313,13 @@ def born_rule(basis: np.ndarray, columns: np.ndarray, derivatives: np.ndarray | 
     return probs, np.swapaxes(d_probs, -1, -2)
 
 
-def outcome_distribution(povm: Povm, columns: np.ndarray) -> np.ndarray:
-    """The :func:`born_rule` distribution over every outcome of the POVM, checked and normalized."""
-    probs = np.clip(born_rule(povm.basis, columns, complement=povm.complement), 0.0, 1.0)
-    total = probs.sum()
-    if not abs(total - 1.0) < PROB_SUM_TOL:  # a NaN total fails too
-        raise InvariantViolation(f"Born probabilities sum to {total!r}; not a distribution")
+def outcome_distribution(basis: np.ndarray, columns: np.ndarray, complement: bool = False) -> np.ndarray:
+    """The :func:`born_rule` distributions over every outcome, each checked and normalized; leading axes stack."""
+    probs = np.clip(born_rule(basis, columns, complement=complement), 0.0, 1.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    off = ~(np.abs(total - 1.0) < PROB_SUM_TOL)  # a NaN total fails too
+    if off.any():
+        raise InvariantViolation(f"Born probabilities sum to {total[off][0]!r}; not a distribution")
     return probs / total
 
 
@@ -313,4 +327,4 @@ def born_probabilities(state: "PureState | DensityOperator", povm: Povm) -> dict
     """Outcome distribution p(x) = tr(E_x rho) over the POVM labels."""
     if state.dim != povm.dim:
         raise ArgumentError(f"state dim {state.dim} != POVM dim {povm.dim}")
-    return dict(zip(povm.labels, outcome_distribution(povm, state.columns()).tolist()))
+    return dict(zip(povm.labels, outcome_distribution(povm.basis, state.columns(), povm.complement).tolist()))

@@ -1,27 +1,33 @@
 """Explicit measurement protocols saturating the process bound.
 
 Every saturating measurement here reads Schroedinger cats, and
-:func:`_cat_branch` builds every cat branch from any two orthonormal
-vectors a, b: prepare (a + b)/sqrt2 and read the conjugate pair
-(a +/- i b)/sqrt2, plus a complement outcome "null" that keeps the POVM
-complete where the pair does not span the space.  Hyperface and
-hyperedge branches take a, b from opposite computational basis states;
-the corner strategy mixes the hyperfaces adjacent to a polytope vertex;
-the ancilla ("zoo") construction spreads one protocol over many faces,
-its pure and mixed variants reading every string's pair in one basis;
-and the Bloch protocol is the two-outcome cat on the eigenvectors of
-the target-axis spin.
+:func:`_cat_stack` builds every cat branch from two orthonormal vectors
+a, b: prepare (a + b)/sqrt2 and read the conjugate pair (a +/- i b)/sqrt2,
+plus a complement outcome "null" that keeps the POVM complete where the
+pair does not span the space.  Hyperface and hyperedge branches take a, b
+from opposite computational basis states; the corner strategy mixes the
+hyperfaces adjacent to a polytope vertex; the ancilla ("zoo")
+construction spreads one protocol over many faces, its pure and mixed
+variants reading every string's pair in one basis; and the Bloch protocol
+is the two-outcome cat on the eigenvectors of the target-axis spin.
 
-Every constructor records, per branch, the linear combination of
-parameters whose sine the branch reads and the coefficient with which
-that readout enters the target, which is all an estimator downstream
-needs.
+A protocol holds its branches as :class:`BranchStack` records, one per
+run of like branches, which the Fisher pass, the sampler and the wire
+form read row by row.  Each builder fills its stack in one go, and the
+stack's constructor runs every per-branch gate once over all rows:
+finiteness, unit norm (or unit trace and positivity of a mixed state),
+POVM completeness, weight range and sign entries; :class:`Protocol`
+checks the weight sum and the dimensions.  :class:`Branch` views of the
+rows are built only on access.  Every branch records the linear
+combination of parameters whose sine it reads and the coefficient with
+which that readout enters the target, which is all an estimator
+downstream needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -36,11 +42,15 @@ from .families import (
 from .operators import (
     SIGMA_X,
     SIGMA_Y,
+    STATE_NORM_TOL,
+    TRACE_TOL,
     DensityOperator,
     HermitianOperator,
     Povm,
     PureState,
+    _density,
     _frozen,
+    _povm_basis,
     _psd,
     born_rule,
     matrix_to_pairs,
@@ -55,8 +65,14 @@ from .tangent import FisherMatrix, OneForm, TangentVector, canonicalize, pair
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_FLOOR = 1e-15
 DEFAULT_STEP = 1e-5
-# entries the derivative stack of one stacked pass may hold; a branch over it runs alone
+# entries the derivative stack of one chunk of stack rows may hold; a row over it runs alone
 _CHUNK_ENTRIES = 8192
+# the axes of each array of a BranchStack, the first running over its branches
+_ROW_NDIM = {"weights": 1, "columns": 3, "bases": 3, "densities": 3, "readouts": 2, "estimator_weights": 1, "signs": 2}
+
+
+def _sign_text(entries) -> str:
+    return "".join("+" if e > 0 else "-" if e < 0 else "0" for e in entries)
 
 
 @dataclass(frozen=True)
@@ -94,18 +110,12 @@ class SignString:
         return len(self.entries)
 
     def __str__(self) -> str:
-        return "".join("+" if e > 0 else "-" if e < 0 else "0" for e in self.entries)
+        return _sign_text(self.entries)
 
 
 @dataclass(frozen=True)
 class Branch:
-    """One deterministic protocol inside a probabilistic mixture.
-
-    ``readout_form`` is the combination s of parameters whose sine the
-    branch estimates; ``estimator_weight`` is the coefficient of s in the
-    target, so that the target decomposes as sum_n estimator_weight_n s_n
-    across branches.
-    """
+    """One row of a :class:`BranchStack` as objects, built on access."""
 
     weight: float
     fiducial: PureState | DensityOperator
@@ -114,130 +124,185 @@ class Branch:
     estimator_weight: float | None = None
     sign_string: SignString | None = None
 
+
+@dataclass(frozen=True, kw_only=True)
+class BranchStack:
+    """B branches of one shape, row b of each array belonging to branch b.
+
+    Each fiducial is held as columns psi_k (B, dim, k) with rho = sum_k
+    psi_k psi_k^dag: one unit column for a pure state, while a mixed one
+    also keeps the densities (B, dim, dim) its columns factor.  Each row of
+    ``bases`` (B, dim, m) is a :class:`Povm` basis for the shared labels.
+    A readout (B, n) is the combination s of parameters whose sine a branch
+    estimates, and its estimator weight (B,) the coefficient of s in the
+    target, so that the target is sum_b estimator_weight_b s_b; ``signs``
+    (B, n) are face or edge strings.  Each gate runs once for the stack and
+    raises the error of the per-object gate for the first failing row.
+    """
+
+    weights: np.ndarray
+    columns: np.ndarray
+    bases: np.ndarray
+    labels: tuple[str, ...]
+    densities: np.ndarray | None = None
+    readouts: np.ndarray | None = None
+    estimator_weights: np.ndarray | None = None
+    signs: np.ndarray | None = None
+
     def __post_init__(self):
-        if not (0.0 <= self.weight <= 1.0 + 1e-12):
-            raise ArgumentError(f"branch weight {self.weight!r} outside [0, 1]")
-        if self.fiducial.dim != self.measurement.dim:
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.size == 0:
+            raise ArgumentError("protocol needs at least one branch")
+        # a NaN weight fails the range test too
+        if not (inside := (weights >= 0.0) & (weights <= 1.0 + 1e-12)).all():
+            raise ArgumentError(f"branch weight {float(weights[~inside][0])!r} outside [0, 1]")
+        columns = _frozen(self.columns, dtype=complex)
+        bases, labels = _povm_basis(self.bases, self.labels, stacked=True)
+        rows = {"weights": _frozen(weights), "columns": columns, "bases": bases}
+        if self.densities is not None:
+            rows["densities"] = _density(self.densities, stacked=True)
+        for name, what in (("readouts", "one-form components"), ("estimator_weights", "estimator weights")):
+            if getattr(self, name) is not None:
+                rows[name] = _frozen(getattr(self, name), what, float)
+        if self.signs is not None:
+            signs = np.asarray(self.signs)
+            # booleans are refused by type, as True == 1; a non-integer is refused before the cast truncates it
+            if signs.dtype == bool or not ((signs == -1) | (signs == 0) | (signs == 1)).all():
+                raise ArgumentError("sign string entries must be -1, 0, or +1")
+            rows["signs"] = _frozen(signs, dtype=int)
+        for name, value in rows.items():
+            if value.ndim != _ROW_NDIM[name] or len(value) != weights.size or value.shape[-1] < 1:
+                raise ArgumentError(f"{name} must hold one nonempty row per branch, got shape {value.shape}")
+        if columns.shape[1] != bases.shape[1]:
             raise ArgumentError("branch state and measurement dimensions differ")
+        if self.densities is not None:
+            factored = columns @ np.swapaxes(columns.conj(), 1, 2)
+            if factored.shape != rows["densities"].shape or np.abs(factored - rows["densities"]).max() > TRACE_TOL:
+                raise ArgumentError("fiducial columns must factor their densities")
+        elif columns.shape[2] != 1:
+            raise ArgumentError("a pure fiducial is one column; a mixed one comes with its densities")
+        elif (off := np.abs(np.sqrt((np.abs(columns) ** 2).sum(axis=(1, 2))) - 1.0) > STATE_NORM_TOL).any():
+            norm = np.linalg.norm(columns[off][0])
+            raise InvariantViolation(f"state norm {norm!r} deviates from 1 by more than {STATE_NORM_TOL:g}")
+        object.__setattr__(self, "labels", labels)
+        for name, value in rows.items():
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    @property
+    def complement(self) -> bool:
+        """Whether the last label names the complement outcome I - V V^dag."""
+        return len(self.labels) > self.bases.shape[2]
+
+    def branch(self, b: int) -> Branch:
+        fiducial = PureState(self.columns[b, :, 0]) if self.densities is None else DensityOperator(self.densities[b])
+        return Branch(
+            weight=float(self.weights[b]),
+            fiducial=fiducial,
+            measurement=Povm.from_basis(self.bases[b], self.labels),
+            readout_form=None if self.readouts is None else OneForm(self.readouts[b]),
+            estimator_weight=None if self.estimator_weights is None else float(self.estimator_weights[b]),
+            sign_string=None if self.signs is None else SignString(tuple(self.signs[b])),
+        )
+
+    def wire(self, b: int) -> dict:
+        """Row b in the protocol's JSON form."""
+        if self.densities is None:
+            fiducial = {"type": "pure", "amplitudes": matrix_to_pairs(self.columns[b, :, 0])[0]}
+        else:
+            fiducial = {"type": "mixed", "entries": matrix_to_pairs(self.densities[b])}
+        return {
+            "weight": float(self.weights[b]),
+            "fiducial": fiducial,
+            # row x of "vectors" holds v_x; outcome labels[x] has element v_x v_x^dag,
+            # and a label after the last row names the complement I - sum_x v_x v_x^dag
+            "measurement": {"labels": list(self.labels), "vectors": matrix_to_pairs(self.bases[b].T)},
+            "readout_form": None if self.readouts is None else self.readouts[b].tolist(),
+            "estimator_weight": None if self.estimator_weights is None else float(self.estimator_weights[b]),
+            "sign_string": None if self.signs is None else _sign_text(self.signs[b]),
+        }
 
 
 @dataclass(frozen=True)
 class Protocol:
-    """A probabilistic mixture of preparation/measurement branches."""
+    """A probabilistic mixture of branches, held as stacks in branch order."""
 
     kind: str
-    branches: tuple[Branch, ...]
+    stacks: tuple[BranchStack, ...]
     family_dim: int
 
     def __post_init__(self):
-        if not self.branches:
+        object.__setattr__(self, "stacks", tuple(self.stacks))
+        if not self.stacks:
             raise ArgumentError("protocol needs at least one branch")
-        total = sum(branch.weight for branch in self.branches)
+        total = sum(self.weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvariantViolation(f"branch weights sum to {total!r}")
-        for branch in self.branches:
-            dim = branch.fiducial.dim
+        for dim in (stack.columns.shape[1] for stack in self.stacks):
             if dim not in (self.family_dim, 2 * self.family_dim):
                 raise ArgumentError(
                     f"branch dimension {dim} matches neither the family dimension "
                     f"{self.family_dim} nor its single-ancilla extension"
                 )
 
+    @property
+    def weights(self) -> np.ndarray:
+        return np.concatenate([stack.weights for stack in self.stacks])
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        """Every branch as a :class:`Branch` view, built on each access."""
+        return tuple(stack.branch(b) for stack in self.stacks for b in range(len(stack)))
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "family_dim": self.family_dim,
-            "branches": [_branch_to_dict(branch) for branch in self.branches],
-        }
-
-
-def _branch_to_dict(branch: Branch) -> dict:
-    if isinstance(branch.fiducial, PureState):
-        fiducial = {"type": "pure", "amplitudes": matrix_to_pairs(branch.fiducial.amplitudes)[0]}
-    else:
-        fiducial = {"type": "mixed", "entries": matrix_to_pairs(branch.fiducial.entries)}
-    return {
-        "weight": float(branch.weight),
-        "fiducial": fiducial,
-        # row x of "vectors" holds v_x; outcome labels[x] has element v_x v_x^dag,
-        # and a label after the last row names the complement I - sum_x v_x v_x^dag
-        "measurement": {
-            "labels": list(branch.measurement.labels),
-            "vectors": matrix_to_pairs(branch.measurement.basis.T),
-        },
-        "readout_form": None
-        if branch.readout_form is None
-        else [float(x) for x in branch.readout_form.components],
-        "estimator_weight": None if branch.estimator_weight is None else float(branch.estimator_weight),
-        "sign_string": None if branch.sign_string is None else str(branch.sign_string),
-    }
+        branches = [stack.wire(b) for stack in self.stacks for b in range(len(stack))]
+        return {"kind": self.kind, "family_dim": self.family_dim, "branches": branches}
 
 
 # ---------------------------------------------------------------------------
 # Cat-state machinery.
 
 
-def _basis_index(signs: np.ndarray) -> int:
-    """Computational index of the product state with the given z signs."""
-    index = 0
-    for s in signs:
-        index = (index << 1) | (0 if s > 0 else 1)
-    return index
-
-
 def _cat_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The cat (a + b)/sqrt2 and its conjugate pair (a +/- i b)/sqrt2, as
-    the three columns of one array."""
-    return np.column_stack([a + b, a + 1j * b, a - 1j * b]) / np.sqrt(2)
+    """The cat (a + b)/sqrt2 and its conjugate pair (a +/- i b)/sqrt2 as
+    the three columns (B, dim, 3) of each row of a, b (B, dim)."""
+    cats = np.empty(a.shape + (3,), dtype=complex)
+    ib = 1j * b
+    np.add(a, b, out=cats[..., 0])
+    np.add(a, ib, out=cats[..., 1])
+    np.subtract(a, ib, out=cats[..., 2])
+    cats /= np.sqrt(2)
+    return cats
 
 
-def _unit_pair(dim: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The computational basis vectors |i> and |j> of a dim-dimensional space."""
-    a, b = np.zeros((2, dim))
-    a[i] = b[j] = 1.0
-    return a, b
+def _string_cats(signs: np.ndarray, ancilla: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_cat_columns` of |z> and |-z> for each row z of ``signs``
+    (B, n), zero slots read as +1, and their computational indices (2, B):
+    qubit j's bit is 1 where its sign is -1, and with ``ancilla`` a leading
+    qubit records the string's first sign."""
+    n = signs.shape[1]
+    bits = 1 << np.arange(n - 1, -1, -1)
+    indices = np.array([(signs < 0) @ bits, (signs > 0) @ bits])
+    if ancilla:
+        indices += (signs[:, 0] < 0).astype(int) << n
+    pairs = np.zeros((2, len(signs), 2 ** (n + ancilla)))
+    rows = np.arange(len(signs))
+    pairs[0, rows, indices[0]] = pairs[1, rows, indices[1]] = 1.0
+    return _cat_columns(*pairs), indices
 
 
-def _cat_branch(
-    a: np.ndarray,
-    b: np.ndarray,
-    readout: np.ndarray,
-    weight: float,
-    estimator_weight: float,
-    sign_string: SignString | None = None,
-    labels: tuple[str, ...] = ("+", "-", "null"),
-) -> Branch:
-    """Branch preparing (a + b)/sqrt2 and reading the conjugate pair
-    (a +/- i b)/sqrt2, for any two orthonormal vectors a and b.
+def _cat_stack(cats: np.ndarray, labels=("+", "-", "null"), **rows) -> BranchStack:
+    """Branches preparing the first of each row's :func:`_cat_columns` and
+    reading the other two; ``rows`` are the stack's other row arrays.
 
     Every cat branch is built here.  The default third label is the
     complement outcome "null", I minus the pair's projectors: it never
     fires for this fiducial but keeps the POVM complete.  A qubit pair
     spans its space, so the Bloch branch passes ``("+", "-")``.
     """
-    columns = _cat_columns(a, b)
-    return Branch(
-        weight=weight,
-        fiducial=PureState(columns[:, 0]),
-        measurement=Povm.from_basis(columns[:, 1:], labels),
-        readout_form=OneForm(readout),
-        estimator_weight=estimator_weight,
-        sign_string=sign_string,
-    )
-
-
-def _edge_branch(signs, weight: float, estimator_weight: float) -> Branch:
-    """Cat branch for a face or edge string; zero slots sit in |+1>."""
-    signs = np.asarray(signs, dtype=int)
-    plus = _basis_index(np.where(signs == 0, 1, signs))
-    minus = _basis_index(np.where(signs == 0, 1, -signs))
-    return _cat_branch(
-        *_unit_pair(2**signs.size, plus, minus),
-        signs.astype(float),
-        weight,
-        estimator_weight,
-        SignString(tuple(signs)),
-    )
+    return BranchStack(columns=cats[..., :1], bases=cats[..., 1:], labels=labels, **rows)
 
 
 def hyperface_protocol(z) -> Protocol:
@@ -265,8 +330,9 @@ def hyperedge_protocol(w) -> Protocol:
     w = SignString.parse(w)
     if all(e == 0 for e in w.entries):
         raise ArgumentError("edge string needs at least one nonzero entry")
-    branch = _edge_branch(w.entries, weight=1.0, estimator_weight=1.0)
-    return Protocol(kind="hyperedge", branches=(branch,), family_dim=2 ** len(w))
+    signs = np.array([w.entries])
+    stack = _cat_stack(_string_cats(signs)[0], weights=[1.0], readouts=signs, estimator_weights=[1.0], signs=signs)
+    return Protocol(kind="hyperedge", stacks=(stack,), family_dim=2 ** len(w))
 
 
 def corner_protocol(dq: OneForm) -> Protocol:
@@ -282,19 +348,11 @@ def corner_protocol(dq: OneForm) -> Protocol:
     """
     canonical = canonicalize(dq)
     strings, weights = cross_polytope_decomposition(canonical.canonical.components)
-    branches = []
-    for k in range(strings.shape[0]):
-        if weights[k] < WEIGHT_FLOOR:
-            continue
-        embedded = canonical.embed_signs(strings[k])
-        branches.append(
-            _edge_branch(
-                embedded,
-                weight=float(weights[k]),
-                estimator_weight=float(weights[k] * canonical.scale),
-            )
-        )
-    return Protocol(kind="corner", branches=tuple(branches), family_dim=2 ** len(dq))
+    kept = weights >= WEIGHT_FLOOR
+    signs, weights = canonical.embed_signs(strings[kept]), weights[kept]
+    cats = _string_cats(signs)[0]
+    stack = _cat_stack(cats, weights=weights, readouts=signs, estimator_weights=weights * canonical.scale, signs=signs)
+    return Protocol(kind="corner", stacks=(stack,), family_dim=2 ** len(dq))
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +420,6 @@ def _zoo_distribution(weights, n_params: int | None) -> np.ndarray:
     return probs
 
 
-def _ancilla_cat_indices(signs: tuple[int, ...]) -> tuple[int, int]:
-    offset = (0 if signs[0] > 0 else 1) << len(signs)
-    arr = np.array(signs, dtype=int)
-    return offset + _basis_index(arr), offset + _basis_index(-arr)
-
-
 def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched") -> Protocol:
     """Ancilla-assisted protocol spreading one measurement over many faces.
 
@@ -380,30 +432,27 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
     """
     probs = _zoo_distribution(weights, n_params)
     n = probs.size.bit_length() - 1
-    dim = 2 ** (n + 1)
-    strings = [SignString(signs) for signs in product((1, -1), repeat=n)]
-    indices = [_ancilla_cat_indices(z.entries) for z in strings]
+    signs = np.array(list(product((1, -1), repeat=n)))
+    cats, indices = _string_cats(signs, ancilla=True)
     if variant == "branched":
-        branches = tuple(
-            _cat_branch(*_unit_pair(dim, *pair), np.array(z.entries, dtype=float), float(p), float(p), z)
-            for z, pair, p in zip(strings, indices, probs)
-            if p >= WEIGHT_FLOOR
-        )
-        return Protocol(kind="zoo", branches=branches, family_dim=2**n)
+        kept = probs >= WEIGHT_FLOOR
+        p, z = probs[kept], signs[kept]
+        stack = _cat_stack(cats[kept], weights=p, readouts=z, estimator_weights=p, signs=z)
+        return Protocol(kind="zoo", stacks=(stack,), family_dim=2**n)
     if variant not in ("pure", "mixed"):
         raise ArgumentError(f"unknown zoo variant {variant!r}")
-    cats = [_cat_columns(*_unit_pair(dim, *pair)) for pair in indices]
-    labels = [f"{z}:{outcome}" for z in strings for outcome in "+-"]
-    povm = Povm.from_basis(np.hstack([c[:, 1:] for c in cats]), labels)
+    labels = [f"{_sign_text(z)}:{outcome}" for z in signs for outcome in "+-"]
+    basis = np.swapaxes(cats[..., 1:], 0, 1).reshape(2 * len(probs), -1)
     if variant == "pure":
-        amplitudes = np.zeros(dim, dtype=complex)
+        amplitudes = np.zeros(2 * len(probs), dtype=complex)
         # no two strings share a slot, so each pair is set once to sqrt(p/2)
-        amplitudes[np.array(indices)] = np.sqrt(probs / 2)[:, None]
-        fiducial = PureState(amplitudes / np.linalg.norm(amplitudes))
+        amplitudes[indices.T] = np.sqrt(probs / 2)[:, None]
+        columns, densities = (amplitudes / np.linalg.norm(amplitudes))[:, None], None
     else:
-        fiducial = DensityOperator(sum(p * np.outer(c[:, 0], c[:, 0].conj()) for c, p in zip(cats, probs)))
-    branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
-    return Protocol(kind=f"zoo-{variant}", branches=(branch,), family_dim=2**n)
+        rho = DensityOperator(sum(p * np.outer(c, c.conj()) for c, p in zip(cats[..., 0], probs)))
+        columns, densities = rho.columns(), rho.entries[None]
+    stack = BranchStack(weights=[1.0], columns=columns[None], bases=basis[None], labels=labels, densities=densities)
+    return Protocol(kind=f"zoo-{variant}", stacks=(stack,), family_dim=2**n)
 
 
 # ---------------------------------------------------------------------------
@@ -425,38 +474,24 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     if length == 0.0:
         raise ArgumentError("cannot build a protocol for the zero form")
     axis = q / length
-    branch = _cat_branch(*qubit_basis(axis), axis, 1.0, length, labels=("+", "-"))
-    return Protocol(kind="bloch", branches=(branch,), family_dim=2)
+    cats = _cat_columns(*np.swapaxes(qubit_basis(axis[None]), 0, 1))
+    stack = _cat_stack(cats, ("+", "-"), weights=[1.0], readouts=axis[None], estimator_weights=[length])
+    return Protocol(kind="bloch", stacks=(stack,), family_dim=2)
 
 
 # ---------------------------------------------------------------------------
 # Information matrices and saturation checks.
 
 
-def _shape_chunks(branches, n_params: int):
-    """Runs of consecutive branches alike in fiducial-column shape, basis shape and complement,
-    cut so that each derivative stack (B, n_params, dim, k) keeps within ``_CHUNK_ENTRIES``; yields
-    (branches, columns (B, dim, k), bases (B, dim, m)), a lone branch as uncopied views."""
-    pairs = ((branch, branch.fiducial.columns()) for branch in branches)
-    for _, run in groupby(pairs, lambda p: (p[1].shape, p[0].measurement.basis.shape, p[0].measurement.complement)):
-        run = list(run)
-        size = max(1, _CHUNK_ENTRIES // (n_params * run[0][1].size))
-        for start in range(0, len(run), size):
-            group, columns = zip(*run[start : start + size])
-            bases = [branch.measurement.basis for branch in group]
-            yield group, *(a[0][None] if len(a) == 1 else np.stack(a) for a in (columns, bases))
-
-
-def branch_distribution(branch: Branch, family: ProcessFamily, theta) -> np.ndarray:
-    """Exact outcome probabilities of one branch at a parameter point,
-    ordered like the branch's POVM labels."""
+def branch_distribution(stack: BranchStack, family: ProcessFamily, theta) -> np.ndarray:
+    """Exact outcome probabilities (B, outcomes) of the stack's branches at a
+    parameter point, each row ordered like the stack's labels."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != family.n_params:
         raise ArgumentError("parameter point length does not match the family")
     if not np.isfinite(theta).all():
         raise ArgumentError("parameter point has non-finite entries")
-    columns = family.evolve(theta, branch.fiducial.columns())
-    return outcome_distribution(branch.measurement, columns)
+    return outcome_distribution(stack.bases, family.evolve(theta, stack.columns), stack.complement)
 
 
 def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str = "exact") -> FisherMatrix:
@@ -465,11 +500,11 @@ def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str =
     Per branch the Born vector and its Jacobian give a Fisher matrix, and
     these are mixed with the branch weights in branch order.  The "exact"
     mode differentiates the evolved state: the derivative of exp(-i t X) psi
-    at t = 0 is -i X psi.  It runs each chunk of :func:`_shape_chunks` as one
-    stacked pass with one positivity eigen-solve.  The "central" mode is an
-    independent cross-check, branch by branch: it differences
-    :func:`branch_distribution` at +/- ``DEFAULT_STEP`` along each
-    parameter.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
+    at t = 0 is -i X psi.  It runs each stack as one pass per chunk of rows
+    whose derivatives keep within ``_CHUNK_ENTRIES``, with one positivity
+    eigen-solve per stack.  The "central" mode is an independent cross-check:
+    it differences :func:`branch_distribution` at +/- ``DEFAULT_STEP`` along
+    each parameter.  Outcomes below ``DEFAULT_P_FLOOR`` are left out.
     """
     if family.dim != protocol.family_dim:
         raise ArgumentError(f"protocol built for dimension {protocol.family_dim}, family has {family.dim}")
@@ -477,23 +512,27 @@ def protocol_fisher(protocol: Protocol, family: ProcessFamily, derivative: str =
         raise ArgumentError(f"unknown derivative mode {derivative!r}")
     n = family.n_params
     total = np.zeros((n, n))
-    if derivative == "exact":
-        for group, columns, basis in _shape_chunks(protocol.branches, n):
-            # -i X_j psi_k scaled in place and dropped after use, so one derivative stack is alive
-            derivatives = family.apply(columns)
-            derivatives *= -1j
-            fishers = _fisher_stack(*born_rule(basis, columns, derivatives, group[0].measurement.complement))
-            del derivatives
+    for stack in protocol.stacks:
+        if derivative == "exact":
+            fishers = []
+            size = max(1, _CHUNK_ENTRIES // (n * stack.columns[0].size))
+            for rows in (slice(start, start + size) for start in range(0, len(stack), size)):
+                # -i X_j psi_k scaled in place and dropped after use, so one derivative stack is alive
+                derivatives = family.apply(stack.columns[rows])
+                derivatives *= -1j
+                born = born_rule(stack.bases[rows], stack.columns[rows], derivatives, stack.complement)
+                fishers.append(_fisher_stack(*born))
+                del derivatives
+            fishers = np.concatenate(fishers)
             _psd(fishers, "Fisher matrix")
-            for branch, fisher in zip(group, fishers):
-                total += branch.weight * fisher
-    else:
-        shifts = DEFAULT_STEP * np.eye(n)
-        for branch in protocol.branches:
-            probs = branch_distribution(branch, family, np.zeros(n))
-            diffs = [branch_distribution(branch, family, s) - branch_distribution(branch, family, -s) for s in shifts]
-            jac = np.column_stack(diffs) / (2 * DEFAULT_STEP)
-            total += branch.weight * classical_fisher(probs, jac).entries
+        else:
+            shifts = DEFAULT_STEP * np.eye(n)
+            probs = branch_distribution(stack, family, np.zeros(n))
+            diffs = [branch_distribution(stack, family, s) - branch_distribution(stack, family, -s) for s in shifts]
+            jacobians = np.stack(diffs, axis=-1) / (2 * DEFAULT_STEP)
+            fishers = [classical_fisher(p, jac).entries for p, jac in zip(probs, jacobians)]
+        for weight, fisher in zip(stack.weights, fishers):
+            total += weight * fisher
     return FisherMatrix(total)
 
 
@@ -507,14 +546,20 @@ def mixture(protocols: list[Protocol], weights) -> Protocol:
     family_dim = protocols[0].family_dim
     if any(p.family_dim != family_dim for p in protocols):
         raise ArgumentError("mixture components must share the family dimension")
-    branches = []
+    runs = []  # [(labels, row shapes), rows] per run of like branches, in branch order
     for protocol, w in zip(protocols, weights):
-        for branch in protocol.branches:
-            if w * branch.weight < WEIGHT_FLOOR:
-                continue
-            estimator = None if branch.estimator_weight is None else float(w * branch.estimator_weight)
-            branches.append(replace(branch, weight=float(w * branch.weight), estimator_weight=estimator))
-    return Protocol(kind="mixture", branches=tuple(branches), family_dim=family_dim)
+        for stack in protocol.stacks:
+            kept = w * stack.weights >= WEIGHT_FLOOR
+            rows = {name: getattr(stack, name)[kept] for name in _ROW_NDIM if getattr(stack, name) is not None}
+            for name in {"weights", "estimator_weights"} & rows.keys():
+                rows[name] = w * rows[name]
+            shape = (stack.labels, [(name, value.shape[1:]) for name, value in rows.items()])
+            if runs and runs[-1][0] == shape:
+                runs[-1][1] = {name: np.concatenate([runs[-1][1][name], value]) for name, value in rows.items()}
+            elif kept.any():
+                runs.append([shape, rows])
+    stacks = tuple(BranchStack(labels=shape[0], **rows) for shape, rows in runs)
+    return Protocol(kind="mixture", stacks=stacks, family_dim=family_dim)
 
 
 def kissing_residual(fisher: FisherMatrix, b: TangentVector, family: ProcessFamily, dq: OneForm) -> float:

@@ -65,14 +65,14 @@ def sample_estimates(
 ) -> np.ndarray:
     """Repeated runs of the estimator; returns the array of q estimates.
 
-    Shots are apportioned over the branches by largest remainder, and each
-    branch's outcome distribution is computed once.  The estimator reads
-    only the + tally, whose law is Binomial(n, p+), so each branch draws
-    that tally for all its repetitions in one binomial call on its keyed
-    stream.  Each branch reads the sine of its linear combination: the
-    arcsine of the clamped + frequency is the per-branch
-    maximum-likelihood readout, and the q estimate recombines the readouts
-    with the estimator weights.
+    Shots are apportioned over the branches by largest remainder, and the
+    outcome distributions are computed once, with one evolution and one
+    Born-rule call per stack of branches.  The estimator reads only the +
+    tally, whose law is Binomial(n, p+), so each branch draws that tally
+    for all its repetitions in one binomial call on its keyed stream.
+    Each branch reads the sine of its linear combination: the arcsine of
+    the clamped + frequency is the per-branch maximum-likelihood readout,
+    and the q estimate recombines the readouts with the estimator weights.
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
@@ -86,19 +86,16 @@ def sample_estimates(
             "bounds and estimators are derived for small deviations",
             stacklevel=2,
         )
-    branches = protocol.branches
-    per_branch = apportion_shots([branch.weight for branch in branches], shots)
+    stacks = protocol.stacks
+    per_branch = apportion_shots(protocol.weights, shots)
     if np.any(per_branch < 1):
         raise EstimationError("a weighted branch received no shots; increase the shot budget")
-    for branch in branches:
-        if branch.readout_form is None or branch.estimator_weight is None:
-            raise EstimationError("every branch needs a readout to run the estimator")
-    p_plus = [
-        branch_distribution(branch, family, theta)[branch.measurement.labels.index("+")] for branch in branches
-    ]
-    coeffs = np.array([branch.estimator_weight for branch in branches])
+    if any(stack.readouts is None or stack.estimator_weights is None for stack in stacks):
+        raise EstimationError("every branch needs a readout to run the estimator")
+    p_plus = np.concatenate([branch_distribution(s, family, theta)[:, s.labels.index("+")] for s in stacks])
+    coeffs = np.concatenate([stack.estimator_weights for stack in stacks])
 
-    plus = np.empty((repetitions, len(branches)), dtype=int)
+    plus = np.empty((repetitions, per_branch.size), dtype=int)
     for b, (n, p) in enumerate(zip(per_branch, p_plus)):
         plus[:, b] = branch_rng(seed, b).binomial(int(n), p, size=repetitions)
     s_hat = np.arcsin(np.clip(2.0 * (plus / per_branch) - 1.0, -1.0, 1.0))

@@ -141,13 +141,13 @@ class CanonicalForm:
 
         Sign flips from a negative leading coefficient are folded in, so
         the embedded string pairs with original-space vectors; dropped
-        indices come back as zeros.
+        indices come back as zeros.  Leading axes stack strings.
         """
-        signs = np.asarray(signs, dtype=int).reshape(-1)
-        if signs.size != len(self.permutation):
+        signs = np.asarray(signs, dtype=int)
+        if signs.shape[-1:] != (len(self.permutation),):
             raise ArgumentError("sign count does not match the canonical length")
-        out = np.zeros(self.n_original, dtype=int)
-        out[list(self.permutation)] = self.sign * signs
+        out = np.zeros(signs.shape[:-1] + (self.n_original,), dtype=int)
+        out[..., list(self.permutation)] = self.sign * signs
         return out
 
 
@@ -170,7 +170,7 @@ def canonicalize(dq: OneForm) -> CanonicalForm:
     canonical = comps[order] / lead
     canonical[0] = 1.0
     return CanonicalForm(
-        permutation=tuple(int(j) for j in order),
+        permutation=tuple(order.tolist()),
         scale=scale,
         sign=sign,
         canonical=OneForm(canonical),

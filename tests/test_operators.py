@@ -253,6 +253,16 @@ def _trine():
     return np.sqrt(2 / 3) * np.vstack([np.cos(angles), np.sin(angles)]).astype(complex)
 
 
+def frame_stack(fiducial, povm):
+    """The one-branch stack preparing the fiducial and reading the POVM."""
+    from qproc import BranchStack
+
+    densities = None if isinstance(fiducial, PureState) else fiducial.entries[None]
+    return BranchStack(
+        weights=[1.0], columns=fiducial.columns()[None], bases=povm.basis[None], labels=povm.labels, densities=densities
+    )
+
+
 class TestBornRuleOnTheBasis:
     """The basis contraction must match the dense sum over elements v v^dag."""
 
@@ -271,7 +281,7 @@ class TestBornRuleOnTheBasis:
             assert np.max(np.abs(np.array([probs[label] for label in povm.labels]) - dense)) < 1e-12
 
     def test_exact_fisher_matches_dense_elements(self, rng):
-        from qproc import Branch, ProcessFamily, Protocol, protocol_fisher
+        from qproc import ProcessFamily, Protocol, protocol_fisher
 
         for basis in self._frames(rng):
             dim = basis.shape[0]
@@ -282,8 +292,7 @@ class TestBornRuleOnTheBasis:
                 family = ProcessFamily(given)
                 gens = [np.kron(np.eye(dim // family_dim), g.entries) for g in given]
                 for fiducial in (random_pure_state(rng, dim), random_density(rng, dim)):
-                    branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
-                    protocol = Protocol(kind="frame", branches=(branch,), family_dim=family_dim)
+                    protocol = Protocol(kind="frame", stacks=(frame_stack(fiducial, povm),), family_dim=family_dim)
                     fisher = protocol_fisher(protocol, family)
                     rho = fiducial.density().entries if isinstance(fiducial, PureState) else fiducial.entries
                     drhos = [-1j * (g @ rho - rho @ g) for g in gens]
@@ -335,7 +344,7 @@ class TestComplementOutcome:
         assert np.allclose(sum(e.entries for e in elements), np.eye(5), atol=1e-14)
 
     def test_born_and_fisher_match_dense_elements(self, rng):
-        from qproc import Branch, ProcessFamily, Protocol, protocol_fisher
+        from qproc import ProcessFamily, Protocol, protocol_fisher
 
         for dim, k in ((2, 1), (4, 2), (6, 3)):
             basis = self._isometry(rng, dim, k)
@@ -354,8 +363,8 @@ class TestComplementOutcome:
                 for element, p in zip(dense, expected_p):
                     dp = np.array([np.real(np.trace(element @ drho)) for drho in drhos])
                     expected += np.outer(dp, dp) / p
-                branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
-                fisher = protocol_fisher(Protocol(kind="frame", branches=(branch,), family_dim=dim), family)
+                protocol = Protocol(kind="frame", stacks=(frame_stack(fiducial, povm),), family_dim=dim)
+                fisher = protocol_fisher(protocol, family)
                 assert np.max(np.abs(fisher.entries - expected)) < 1e-12
 
 

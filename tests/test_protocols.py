@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,16 +8,14 @@ import pytest
 from qproc import (
     ArgumentError,
     BlochFamily,
-    Branch,
+    BranchStack,
     DensityOperator,
     EpsilonPairFamily,
     InvariantViolation,
     OneForm,
     PauliZFamily,
-    Povm,
     ProcessFamily,
     Protocol,
-    PureState,
     SignString,
     TangentVector,
     UnsupportedProtocolError,
@@ -38,8 +37,8 @@ from qproc import (
     zoo_protocol,
 )
 
+from qproc import Branch, Povm, PureState, cli
 from qproc.cli import family_from_config, protocol_from_config
-from qproc.protocols import _cat_branch, _shape_chunks
 from qproc.qfisher import classical_fisher
 
 from conftest import random_hermitian, random_traceless_hermitian
@@ -130,7 +129,7 @@ class TestHyperface:
             protocol = hyperface_protocol(signs)
             family = PauliZFamily(n)
             theta = rng.uniform(-1.0, 1.0, size=n)
-            probs = branch_distribution(protocol.branches[0], family, theta)
+            probs = branch_distribution(protocol.stacks[0], family, theta)[0]
             s = float(signs @ theta)
             assert probs[0] == pytest.approx(0.5 * (1 + np.sin(s)), abs=1e-12)
             assert probs[1] == pytest.approx(0.5 * (1 - np.sin(s)), abs=1e-12)
@@ -260,11 +259,11 @@ class TestHyperedge:
         protocol = hyperedge_protocol([1, -1, 0])
         family = PauliZFamily(3)
         theta = np.array([0.2, -0.1, 0.0])
-        base = branch_distribution(protocol.branches[0], family, theta)
+        base = branch_distribution(protocol.stacks[0], family, theta)[0]
         for _ in range(10):
             shift = theta.copy()
             shift[2] = rng.uniform(-1, 1)
-            moved = branch_distribution(protocol.branches[0], family, shift)
+            moved = branch_distribution(protocol.stacks[0], family, shift)[0]
             assert np.max(np.abs(moved - base)) < 1e-12
 
 
@@ -285,10 +284,10 @@ class TestZoo:
         theta = np.array([0.4, -0.7, 0.25])
         protocol = zoo_protocol(ZooAmplitudes(np.zeros(3)))
         assert len(protocol.branches) == 8
-        for branch in protocol.branches:
+        for branch, row in zip(protocol.branches, branch_distribution(protocol.stacks[0], family, theta)):
             assert branch.fiducial.dim == 2 * family.dim
             s = branch.readout_form.components @ theta
-            probs = dict(zip(branch.measurement.labels, branch_distribution(branch, family, theta)))
+            probs = dict(zip(branch.measurement.labels, row))
             assert probs["+"] == pytest.approx((1 + np.sin(s)) / 2, abs=1e-12)
             assert probs["-"] == pytest.approx((1 - np.sin(s)) / 2, abs=1e-12)
 
@@ -396,12 +395,12 @@ class TestBlochProtocol:
         q = np.array([0.0, 0.0, 1.0])
         protocol = bloch_protocol(OneForm(q))
         family = BlochFamily()
-        base = branch_distribution(protocol.branches[0], family, np.zeros(3))
+        base = branch_distribution(protocol.stacks[0], family, np.zeros(3))[0]
         for _ in range(100):
             direction = rng.standard_normal(3)
             direction -= q * (q @ direction)
             direction /= np.linalg.norm(direction)
-            moved = branch_distribution(protocol.branches[0], family, 1e-6 * direction)
+            moved = branch_distribution(protocol.stacks[0], family, 1e-6 * direction)[0]
             assert np.max(np.abs(moved - base)) < 1e-12
 
     def test_wrong_parameter_count(self):
@@ -421,8 +420,7 @@ class TestBranchDistribution:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        for branch in protocol.branches:
-            probs = branch_distribution(branch, family, [0.1, -0.2, 0.05])
+        for probs in branch_distribution(protocol.stacks[0], family, [0.1, -0.2, 0.05]):
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert len(calls) == 0
 
@@ -445,10 +443,11 @@ class TestCatBranches:
         # off the fiducial point the pair family rotates the state out of
         # the cat span, and the complement takes the rest of the weight
         family = EpsilonPairFamily(0.7)
-        branch = optimal_protocol(family, OneForm([0.2, -1.0])).branches[0]
+        protocol = optimal_protocol(family, OneForm([0.2, -1.0]))
+        branch = protocol.branches[0]
         theta = np.array([0.3, -0.2])
         psi = family.evolve(theta, branch.fiducial.columns())[:, 0]
-        probs = branch_distribution(branch, family, theta)
+        probs = branch_distribution(protocol.stacks[0], family, theta)[0]
         dense = [np.real(np.vdot(psi, e.entries @ psi)) for e in branch.measurement.elements]
         assert probs[-1] > 1e-3
         assert np.max(np.abs(probs - dense)) < 1e-12
@@ -463,13 +462,22 @@ class TestCatBranches:
             q, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
             t, u = q.T
             g = np.array([np.vdot(t, x.entries @ t).real - np.vdot(u, x.entries @ u).real for x in given])
-            protocol = Protocol(kind="cat", branches=(_cat_branch(t, u, g, 1.0, 1.0),), family_dim=dim)
+            cat = np.column_stack([t + u, t + 1j * u, t - 1j * u]) / np.sqrt(2)
+            stack = BranchStack(
+                weights=[1.0],
+                columns=cat[None, :, :1],
+                bases=cat[None, :, 1:],
+                labels=("+", "-", "null"),
+                readouts=g[None],
+                estimator_weights=[1.0],
+            )
+            protocol = Protocol(kind="cat", stacks=(stack,), family_dim=dim)
             scale = np.max(np.abs(np.outer(g, g)))
             exact = protocol_fisher(protocol, family).entries
             central = protocol_fisher(protocol, family, derivative="central").entries
             assert np.max(np.abs(exact - np.outer(g, g))) <= 1e-12 * scale
             assert np.max(np.abs(central - np.outer(g, g))) <= 1e-6 * scale
-            probs = branch_distribution(protocol.branches[0], family, np.zeros(n))
+            probs = branch_distribution(protocol.stacks[0], family, np.zeros(n))[0]
             assert np.max(np.abs(probs - [0.5, 0.5, 0.0])) <= 1e-12
 
     def test_ten_qubit_corner_fisher_in_little_memory(self):
@@ -523,14 +531,24 @@ class TestStackedPass:
         corner = corner_protocol(OneForm([1.0, -0.4]))
         zoo = zoo_protocol(ZooAmplitudes(np.array([0.6, -0.2])))
         protocol = mixture([corner, zoo, corner_protocol(OneForm([0.3, 1.0]))], [0.5, 0.3, 0.2])
-        chunks = [len(group) for group, *_ in _shape_chunks(protocol.branches, family.n_params)]
-        assert chunks == [2, 4, 2]
+        stacks = [len(stack) for stack in protocol.stacks]
+        assert stacks == [2, 4, 2]
         assert np.array_equal(protocol_fisher(protocol, family).entries, per_branch_fisher(protocol, family))
 
-    def test_ten_qubit_corner_spans_chunks_and_matches_per_branch(self):
+    def test_ten_qubit_corner_spans_chunks_and_matches_per_branch(self, monkeypatch):
         family = PauliZFamily(10)
         protocol = corner_protocol(OneForm(np.linspace(1.0, 0.2, 10)))
-        chunks = [len(group) for group, *_ in _shape_chunks(protocol.branches, family.n_params)]
+        chunks = []
+        apply = family.apply
+
+        def counted(columns):
+            chunks.append(len(columns))
+            return apply(columns)
+
+        # each of the ten rows is a chunk of its own: one derivative stack is 10 x 1024 entries
+        monkeypatch.setattr(family, "apply", counted)
+        protocol_fisher(protocol, family)
+        monkeypatch.undo()
         assert chunks == [1] * 10
         assert np.array_equal(protocol_fisher(protocol, family).entries, per_branch_fisher(protocol, family))
 
@@ -559,13 +577,14 @@ class TestStackedPass:
 
 class TestProtocolFisher:
     def test_theta_independent_branch_gives_zero(self):
-        from qproc import Branch, Povm, Protocol, PureState
-
         # an eigenstate of every commuting generator carries no information
-        fiducial = PureState(np.eye(4)[0])
-        povm = Povm.from_basis(np.eye(4, dtype=complex), ["a", "b", "c", "d"])
-        branch = Branch(weight=1.0, fiducial=fiducial, measurement=povm)
-        protocol = Protocol(kind="static", branches=(branch,), family_dim=4)
+        stack = BranchStack(
+            weights=[1.0],
+            columns=np.eye(4)[None, :, :1],
+            bases=np.eye(4, dtype=complex)[None],
+            labels=["a", "b", "c", "d"],
+        )
+        protocol = Protocol(kind="static", stacks=(stack,), family_dim=4)
         fisher = protocol_fisher(protocol, PauliZFamily(2))
         assert np.allclose(fisher.entries, np.zeros((2, 2)))
 
@@ -749,28 +768,30 @@ class TestSerialization:
         assert payload["branches"][0]["fiducial"]["type"] == "mixed"
 
 
-def _branch_from_dict(data: dict) -> Branch:
-    """Rebuild a branch from the protocol JSON; the wire format's reader
-    lives here, next to the check that it loses nothing."""
+def _stack_from_dict(data: dict) -> BranchStack:
+    """Rebuild one branch from the protocol JSON as a one-row stack; the wire
+    format's reader lives here, next to the check that it loses nothing."""
     fiducial = data["fiducial"]
     if fiducial["type"] == "pure":
-        state = PureState(matrix_from_pairs([fiducial["amplitudes"]])[0])
+        columns, densities = matrix_from_pairs([fiducial["amplitudes"]]).T, None
     else:
-        state = DensityOperator(matrix_from_pairs(fiducial["entries"]))
-    measurement = data["measurement"]
-    return Branch(
-        weight=data["weight"],
-        fiducial=state,
-        measurement=Povm(matrix_from_pairs(measurement["vectors"]).T, measurement["labels"]),
-        readout_form=None if data["readout_form"] is None else OneForm(data["readout_form"]),
-        estimator_weight=data["estimator_weight"],
-        sign_string=None if data["sign_string"] is None else SignString.parse(data["sign_string"]),
+        densities = matrix_from_pairs(fiducial["entries"])
+        columns = DensityOperator(densities).columns()
+    sign_string = None if data["sign_string"] is None else SignString.parse(data["sign_string"]).entries
+    rows = {"readouts": data["readout_form"], "estimator_weights": data["estimator_weight"], "signs": sign_string}
+    return BranchStack(
+        weights=[data["weight"]],
+        columns=columns[None],
+        bases=matrix_from_pairs(data["measurement"]["vectors"]).T[None],
+        labels=data["measurement"]["labels"],
+        densities=None if densities is None else densities[None],
+        **{name: None if value is None else [value] for name, value in rows.items()},
     )
 
 
 def _protocol_from_dict(data: dict) -> Protocol:
-    branches = tuple(_branch_from_dict(branch) for branch in data["branches"])
-    return Protocol(kind=data["kind"], branches=branches, family_dim=data["family_dim"])
+    stacks = tuple(_stack_from_dict(branch) for branch in data["branches"])
+    return Protocol(kind=data["kind"], stacks=stacks, family_dim=data["family_dim"])
 
 
 class TestWireRoundTrip:
@@ -794,3 +815,147 @@ class TestWireRoundTrip:
                 # a trailing label without a vector is the complement I - sum_x v_x v_x^dag
                 complement = np.eye(mine.measurement.dim) - sum(dense)
                 assert np.allclose(elements[-1].entries, complement, rtol=0.0, atol=1e-15)
+
+
+CAT = np.array([1, 0, 0, 1]) / np.sqrt(2)
+CAT_PAIR = np.array([[1, 0, 0, 1j], [1, 0, 0, -1j]]).T / np.sqrt(2)
+
+
+def cat_rows(**changes) -> dict:
+    """The row arrays of a two-branch stack reading the two-qubit face ++, with ``changes`` applied."""
+    rows = {
+        "weights": np.array([0.25, 0.75]),
+        "columns": np.stack([CAT[:, None]] * 2).astype(complex),
+        "bases": np.stack([CAT_PAIR] * 2),
+        "labels": ("+", "-", "null"),
+        "readouts": np.ones((2, 2)),
+        "estimator_weights": np.array([0.25, 0.75]),
+        "signs": np.ones((2, 2), dtype=int),
+    }
+    rows.update(changes)
+    return rows
+
+
+def with_row(name: str, value) -> dict:
+    """The stack rows of :func:`cat_rows` with the second row of one array replaced."""
+    array = np.array(cat_rows()[name])
+    array[1] = value
+    return cat_rows(**{name: array})
+
+
+def raised(build) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+BAD_PAIR = CAT_PAIR.copy()
+BAD_PAIR[0, 1] = 0.8 / np.sqrt(2)
+BAD_FRAME = np.eye(4, dtype=complex)
+BAD_FRAME[1, 0] = 0.25
+
+
+class TestStackGates:
+    """Each stack gate raises the error class and message of the per-object gate it replaces."""
+
+    @pytest.mark.parametrize(
+        "rows, per_object",
+        [
+            (with_row("columns", 1.5 * CAT[:, None]), lambda: PureState(1.5 * CAT)),
+            (with_row("bases", BAD_PAIR), lambda: Povm(BAD_PAIR, ("+", "-", "null"))),
+            (cat_rows(bases=np.stack([np.eye(4), BAD_FRAME]), labels="abcd"), lambda: Povm(BAD_FRAME, "abcd")),
+            (with_row("columns", [[np.nan], [1], [0], [0]]), lambda: PureState([np.nan, 1, 0, 0])),
+            (with_row("bases", np.full((4, 2), np.inf)), lambda: Povm(np.full((4, 2), np.inf), "+-")),
+            (with_row("readouts", [1.0, np.nan]), lambda: OneForm([1.0, np.nan])),
+            (with_row("signs", [1, 2]), lambda: SignString((1, 2))),
+        ],
+        ids=["norm", "pair-gram", "frame-gram", "nan-amplitude", "inf-basis", "nan-readout", "sign-2"],
+    )
+    def test_same_error_as_the_per_object_gate(self, rows, per_object):
+        assert raised(lambda: BranchStack(**rows)) == raised(per_object)
+
+    def test_per_object_messages_are_the_documented_ones(self):
+        # the messages the per-branch objects raised before protocols were stacked
+        assert raised(lambda: PureState(1.5 * CAT)) == (
+            InvariantViolation,
+            "state norm np.float64(1.4999999999999998) deviates from 1 by more than 1e-12",
+        )
+        assert raised(lambda: Povm(BAD_PAIR, ("+", "-", "null"))) == (
+            InvariantViolation,
+            "POVM basis misses its completeness check by 1.800e-01",
+        )
+
+    @pytest.mark.parametrize("weight, text", [(1.5, "1.5"), (-0.25, "-0.25"), (np.nan, "nan")])
+    def test_weight_outside_the_unit_interval(self, weight, text):
+        rows = with_row("weights", weight)
+        assert raised(lambda: BranchStack(**rows)) == (ArgumentError, f"branch weight {text} outside [0, 1]")
+
+    def test_weights_summing_past_one(self):
+        stack = BranchStack(**cat_rows(weights=[0.5, 0.5 + 1e-9]))
+        build = lambda: Protocol(kind="face", stacks=(stack,), family_dim=4)  # noqa: E731
+        assert raised(build) == (InvariantViolation, "branch weights sum to 1.000000001")
+
+    @pytest.mark.parametrize("family_dim", [3, 8])
+    def test_dimension_of_neither_the_family_nor_its_ancilla_lift(self, family_dim):
+        stack = BranchStack(**cat_rows())
+        build = lambda: Protocol(kind="face", stacks=(stack,), family_dim=family_dim)  # noqa: E731
+        message = f"branch dimension 4 matches neither the family dimension {family_dim} nor its single-ancilla"
+        assert raised(build) == (ArgumentError, message + " extension")
+
+    def test_a_valid_stack_reads_back_as_branches(self):
+        protocol = Protocol(kind="face", stacks=(BranchStack(**cat_rows()),), family_dim=4)
+        assert [b.weight for b in protocol.branches] == [0.25, 0.75]
+        assert all(str(b.sign_string) == "++" for b in protocol.branches)
+        fisher = protocol_fisher(protocol, PauliZFamily(2))
+        assert np.allclose(fisher.entries, np.ones((2, 2)), atol=1e-12)
+
+
+class TestHotPathGuards:
+    """The CLI's hot paths build no per-branch objects."""
+
+    CONFIG = {
+        "schema_version": 1,
+        "family": {"kind": "pauli-z", "N": 6},
+        "q": [1.0, -0.8, 0.6, 0.45, -0.3, 0.1],
+        "protocol": {"kind": "corner"},
+        "simulate": {"shots": 1000, "repetitions": 20, "seed": 3},
+    }
+
+    def _run(self, tmp_path, command: str) -> int:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIG))
+        return cli.main([command, str(path), "--output", str(tmp_path / "out.json")])
+
+    def test_verify_builds_no_branch_objects_and_three_eigen_solves(self, tmp_path, monkeypatch):
+        built = Counter()
+        for cls in (Povm, PureState, SignString, Branch):
+            def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls.__name__] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        solves = counted_eigvalsh(monkeypatch)
+        eigh = np.linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            solves.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        assert self._run(tmp_path, "verify") == 0
+        assert built == Counter()
+        assert len(solves) <= 3
+
+    def test_simulate_evolves_once_per_stack(self, tmp_path, monkeypatch):
+        calls = []
+        evolve = PauliZFamily.evolve
+
+        def counted(self, theta, states):
+            calls.append(np.shape(states))
+            return evolve(self, theta, states)
+
+        monkeypatch.setattr(PauliZFamily, "evolve", counted)
+        # 20 repetitions are too few for the variance to land within tolerance; exit 1 says so
+        assert self._run(tmp_path, "simulate") in (0, 1)
+        # the corner protocol of six distinct magnitudes is one stack of six branches
+        assert calls == [(6, 64, 1)]

@@ -203,8 +203,10 @@ def one_run(protocol, family, theta, shots, seed, repetition):
     per_branch = apportion_shots([branch.weight for branch in protocol.branches], shots)
     readouts = []
     for index, branch in enumerate(protocol.branches):
-        probs = branch_distribution(branch, family, np.asarray(theta, dtype=float))
-        p_plus = probs[branch.measurement.labels.index("+")]
+        m = branch.measurement
+        evolved = family.evolve(np.asarray(theta, dtype=float), branch.fiducial.columns())
+        probs = outcome_distribution(m.basis, evolved, m.complement)
+        p_plus = probs[m.labels.index("+")]
         plus = branch_rng(seed, index).binomial(per_branch[index], p_plus, size=repetition + 1)[repetition]
         readouts.append(np.arcsin(np.clip(2.0 * (plus / per_branch[index]) - 1.0, -1.0, 1.0)))
     return float(np.array(readouts) @ np.array([branch.estimator_weight for branch in protocol.branches]))
@@ -252,11 +254,14 @@ class TestPlusProbabilities:
         seen = []
         monkeypatch.setattr(importlib.import_module("qproc.simulate"), "branch_rng", lambda seed, b: RecordedDraws(seen))
         sample_estimates(protocol, family, theta, shots=600, repetitions=3, seed=5)
-        for branch, p_plus in zip(protocol.branches, seen, strict=True):
-            plus = branch.measurement.labels.index("+")
-            alone = outcome_distribution(branch.measurement, family.evolve(np.array(theta), branch.fiducial.columns()))
+        rows = [row for stack in protocol.stacks for row in branch_distribution(stack, family, theta)]
+        for branch, row, p_plus in zip(protocol.branches, rows, seen, strict=True):
+            m = branch.measurement
+            plus = m.labels.index("+")
+            evolved = family.evolve(np.array(theta), branch.fiducial.columns())
+            alone = outcome_distribution(m.basis, evolved, m.complement)
             assert p_plus == alone[plus]
-            assert p_plus == branch_distribution(branch, family, theta)[plus]
+            assert p_plus == row[plus]
 
 
 class TestDebias:
