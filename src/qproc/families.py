@@ -443,6 +443,8 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
         # the rounding error of a reduced cost scales with the terms it sums
         entering = np.flatnonzero(reduced > PIVOT_TOL * (np.abs(costs) + np.abs(y) @ np.abs(columns)))
         if entering.size == 0:
+            if x.min() < -PIVOT_TOL * np.abs(x).max():
+                raise ConvergenceError("the master LP settled on negative weights, which certify nothing")
             return basis, x, y
         step = np.linalg.solve(square, columns[:, entering[0]])
         rows = np.flatnonzero(step > PIVOT_TOL * np.abs(step).max())
@@ -472,7 +474,11 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
 
     The next points come from ``_newton_points`` while the last ones
     improved on the best and its quadratic model holds; otherwise the
-    next point is Kelley's, the LP's minimizer -y.
+    next point is Kelley's, the LP's minimizer -y.  A lone Newton point
+    promises a fall of more than PROBE_TOL of the norm, so the gap is
+    open and its round skips the LP; the LP runs for Kelley points, once
+    probes join, and in the last round, so that the MAX_CUTS error
+    reports a real gap.  Its first basis weighs the first cut, of base.
     """
     stack = family._stack
     base = q / (q @ q)
@@ -483,15 +489,19 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
     cuts = np.zeros((q.size, 0))
     radius, best, center, points, basis = 1.0, np.inf, base, [base], None
-    for _ in range(MAX_CUTS):
+    for rounds in range(MAX_CUTS):
         model = None
         for b in points:
             value, g, eigs, vecs = _cut(stack, b)
             if value < best:
                 best, center, model = value, b, (g, eigs, vecs)
             cuts = np.hstack([cuts, g[:, None], -g[:, None]])
+        newton = model and _newton_points(stack, step, center, *model)
+        if newton and len(newton) == 1 and rounds < MAX_CUTS - 1:
+            points = newton
+            continue
         if basis is None:
-            basis = np.concatenate([[2 * k], np.where(step.T @ g > 0, k, 0) + np.arange(k)])
+            basis = np.concatenate([[2 * k], np.where(step.T @ cuts[:, 0] > 0, k, 0) + np.arange(k)])
         columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
         costs = np.concatenate([np.full(2 * k, -radius), center @ cuts / best])
         basis, x, y = _master_dual(columns, costs, basis)
@@ -501,7 +511,6 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
             break
         if boxed:
             radius *= 10.0
-        newton = model and _newton_points(stack, step, center, *model)
         points = newton or [center - step @ y[1:]]
     else:
         raise ConvergenceError(

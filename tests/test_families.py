@@ -489,6 +489,14 @@ class TestCertificate:
                 assert result.norm <= grid * (1 + 1e-9)
         assert solved >= 5
 
+    def test_master_lp_refuses_an_infeasible_basis(self):
+        # the start basis weighs the box column -0.5: every reduced cost is
+        # already nonpositive, so the simplex would stop there, but weights
+        # below zero certify no lower bound
+        columns = np.array([[0.0, 0.0, 1.0], [1.0, -1.0, 0.5]])
+        with pytest.raises(ConvergenceError, match="negative weights"):
+            families._master_dual(columns, np.array([-1.0, -1.0, 0.0]), np.array([2, 0]))
+
 
 class TestDualNorm:
     def test_max_coefficient_for_polytope(self):
