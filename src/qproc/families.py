@@ -283,12 +283,12 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     the part of the constraint plane the process can see, until the best
     norm found is within GAP_TOL (relative) of the lower bound certified
     by the master LP's weights; the result carries that ``gap``.  Trial
-    points are Newton points of the spread, with probes about the last
-    one, where its end eigenvalues are simple, and Kelley's points
-    elsewhere.  They raise UnboundedVarianceError for a target the
-    process cannot see, and ConvergenceError if a solve is singular or
-    non-finite, or, carrying the best point as ``best``, if MAX_CUTS
-    rounds of cuts leave the gap open.
+    points, from the Hilbert-Schmidt minimizer on, are Newton points of
+    the spread, with probes about the last one, where its end eigenvalues
+    are simple, and Kelley's points elsewhere.  UnboundedVarianceError
+    flags a target the process cannot see; ConvergenceError a singular or
+    non-finite solve or, carrying the best point as ``best``, a gap that
+    MAX_CUTS rounds of cuts leave open.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -366,19 +366,20 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     return vt[1 + unseen.shape[1] :].T
 
 
-def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The norm at b and its cut g_j = <top|X_j|top> - <bottom|X_j|bottom>,
-    which satisfies g.b' <= norm(b') for every b', with equality at b; then
-    the eigenvalues and eigenvectors it came from."""
-    eigs, vecs = np.linalg.eigh(np.tensordot(b, stack, axes=1))
-    ends = vecs[:, [-1, 0]]
-    expect = np.einsum("ak,jab,bk->jk", ends.conj(), stack, ends).real
-    return float(eigs[-1] - eigs[0]), expect[:, 0] - expect[:, 1], eigs, vecs
+def _cuts(stack: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The norms at the rows b of points and their cuts g_j = <top|X_j|top> -
+    <bottom|X_j|bottom>, each with g.b' <= norm(b') for every b', equality at
+    its b; then the eigenvalues and eigenvectors of one batched eigen-solve."""
+    n, dim = stack.shape[:2]
+    eigs, vecs = np.linalg.eigh((points @ stack.reshape(n, -1)).reshape(-1, dim, dim))
+    ends = vecs[..., [-1, 0]]
+    expect = np.einsum("pak,jab,pbk->pjk", ends.conj(), stack, ends).real
+    return eigs[:, -1] - eigs[:, 0], expect[..., 0] - expect[..., 1], eigs, vecs
 
 
 def _newton_points(
     stack: np.ndarray, step: np.ndarray, center: np.ndarray, g: np.ndarray, eigs: np.ndarray, vecs: np.ndarray
-) -> list[np.ndarray] | None:
+) -> np.ndarray | None:
     """The minimizer of the spread's quadratic model on the plane about
     center, where g and (eigs, vecs) are the cut and spectrum there.
 
@@ -411,13 +412,13 @@ def _newton_points(
             move = np.linalg.norm(np.tensordot(step @ d, stack, axes=1))
         if not move <= split:
             return None
-        points = [center + step @ d]
+        shifts = d[None]
         if -0.5 * grad @ d <= PROBE_TOL * spread:
             offsets = np.sqrt(0.5 * GAP_TOL * spread) * np.linalg.inv(chol)
-            points += [center + step @ (d + e) for e in np.vstack([offsets, -offsets])]
+            shifts = np.vstack([d, d + offsets, d - offsets])
     except np.linalg.LinAlgError:
         return None
-    return points
+    return center + shifts @ step.T
 
 
 def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
@@ -458,49 +459,49 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     """Cutting planes on the visible plane, with a dual certificate.
 
     The oracle works on the family's traceless stack, whose combinations
-    have the same spread and eigenvectors as b^j X_j.  Points are
-    b = center + step @ t, with center the best point so far (first
-    base) and step the visible plane scaled by |base|.  Each oracle call
-    adds the cut g and its mirror -g as columns (1, step^T g) with cost
-    g.center to the master LP, solved in its dual form with every cut
-    scaled by the best norm.  Taking costs at the best point rather than
-    at base keeps steep cuts from cancelling digits.  The first 2k
-    columns +-e_i with cost -radius bound the box |t_i| <= radius, which
-    keeps the LP bounded; radius grows tenfold while the box carries
-    weight.  With no weight on the box, the LP value ``lower`` bounds the
-    norm from below on the whole plane, since its weights w satisfy
-    sum_i w_i g_i = lower * q.  The loop stops when the best norm seen is
-    within GAP_TOL of ``lower``.
+    have the same spread and eigenvectors as b^j X_j, one batch of points
+    per round.  Points are b = center + step @ t, with center the best
+    point so far and step the visible plane scaled by 1/|q|.  The first,
+    base, minimizes over the plane the Hilbert-Schmidt norm |b^j T_j|_F,
+    which bounds the spread above and below.  Each point adds the cut g
+    and its mirror -g as columns (1, step^T g) with cost g.center to the
+    master LP, solved in its dual form with every cut scaled by the best
+    norm.  Taking costs at the best point rather than at base keeps steep
+    cuts from cancelling digits.  The first 2k columns +-e_i with cost
+    -radius bound the box |t_i| <= radius, which keeps the LP bounded;
+    radius grows tenfold while the box carries weight.  With no weight on
+    the box, the LP value ``lower`` bounds the norm from below on the
+    whole plane, since its weights w satisfy sum_i w_i g_i = lower * q.
+    The loop stops when the best norm seen is within GAP_TOL of ``lower``.
 
     The next points come from ``_newton_points`` while the last ones
     improved on the best and its quadratic model holds; otherwise the
     next point is Kelley's, the LP's minimizer -y.  A lone Newton point
-    promises a fall of more than PROBE_TOL of the norm, so the gap is
-    open and its round skips the LP; the LP runs for Kelley points, once
-    probes join, and in the last round, so that the MAX_CUTS error
-    reports a real gap.  Its first basis weighs the first cut, of base.
+    promises a fall above PROBE_TOL of the norm, so the gap is open and
+    the LP waits; it runs for Kelley points, probes and the last round.
     """
     stack = family._stack
-    base = q / (q @ q)
+    flat = stack.reshape(q.size, -1)
     # Frobenius norms of the full generators: T_j is orthogonal to I
-    scale = np.hypot(np.linalg.norm(stack.reshape(q.size, -1), axis=1), np.sqrt(family.dim) * np.abs(family._shift))
-    step = _visible_plane(stack, scale, q) * np.linalg.norm(base)
+    scale = np.hypot(np.linalg.norm(flat, axis=1), np.sqrt(family.dim) * np.abs(family._shift))
+    step = _visible_plane(stack, scale, q) / np.linalg.norm(q)
+    gram = step.T @ (flat.conj() @ flat.T).real  # S^T G with G_ij = Re tr(T_i T_j)
+    base = (q - step @ np.linalg.lstsq(gram @ step, gram @ q, rcond=None)[0]) / (q @ q)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
     cuts = np.zeros((q.size, 0))
-    radius, best, center, points, basis = 1.0, np.inf, base, [base], None
+    radius, best, center, points, basis = 1.0, np.inf, base, base[None], None
     for rounds in range(MAX_CUTS):
-        model = None
-        for b in points:
-            value, g, eigs, vecs = _cut(stack, b)
-            if value < best:
-                best, center, model = value, b, (g, eigs, vecs)
-            cuts = np.hstack([cuts, g[:, None], -g[:, None]])
-        newton = model and _newton_points(stack, step, center, *model)
-        if newton and len(newton) == 1 and rounds < MAX_CUTS - 1:
+        values, g, eigs, vecs = _cuts(stack, points)
+        cuts = np.hstack([cuts, np.stack([g, -g], axis=1).reshape(-1, q.size).T])
+        i, model = np.argmin(values), None
+        if values[i] < best:
+            best, center, model = float(values[i]), points[i], (g[i], eigs[i], vecs[i])
+        newton = _newton_points(stack, step, center, *model) if model else None
+        if newton is not None and len(newton) == 1 and rounds < MAX_CUTS - 1:
             points = newton
             continue
-        if basis is None:
+        if basis is None:  # column 2k is base's cut, so the basis is feasible
             basis = np.concatenate([[2 * k], np.where(step.T @ cuts[:, 0] > 0, k, 0) + np.arange(k)])
         columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
         costs = np.concatenate([np.full(2 * k, -radius), center @ cuts / best])
@@ -511,7 +512,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
             break
         if boxed:
             radius *= 10.0
-        points = newton or [center - step @ y[1:]]
+        points = (center - step @ y[1:])[None] if newton is None else newton
     else:
         raise ConvergenceError(
             f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} rounds of cuts",
@@ -522,7 +523,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     # g.(step a) = |a|^2 against norm(step a).  At a smooth minimum every
     # certificate cut comes from a point where that part nearly vanishes.
     plane_parts = step.T @ cuts[:, basis[(basis >= 2 * k) & (x > PIVOT_TOL)] - 2 * k]
-    at_corner = any(a @ a > KINK_TOL * _cut(stack, step @ a)[0] for a in plane_parts.T)
+    at_corner = bool(np.any(np.sum(plane_parts**2, axis=0) > KINK_TOL * _cuts(stack, (step @ plane_parts).T)[0]))
     faces = None
     if at_corner and isinstance(family, EpsilonPairFamily):
         faces = _adjacent_faces(canonicalize(OneForm(q)))

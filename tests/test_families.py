@@ -359,14 +359,15 @@ class TestMinimizeNorm:
 
 
 def _count_eigensolves(monkeypatch) -> list[int]:
-    """Count numpy eigen-solves called from qproc.families from now on."""
+    """Count the matrices numpy eigen-solves called from qproc.families
+    from now on: P for a (P, dim, dim) stack."""
     count = [0]
     for name in ("eigh", "eigvalsh"):
 
-        def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+        def counted(matrices, *args, _solve=getattr(np.linalg, name), **kwargs):
             if sys._getframe(1).f_globals.get("__name__") == "qproc.families":
-                count[0] += 1
-            return _solve(*args, **kwargs)
+                count[0] += int(np.prod(np.shape(matrices)[:-2]))
+            return _solve(matrices, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return count
@@ -377,7 +378,8 @@ class TestWork:
 
     def test_custom_bound_problem(self, monkeypatch):
         # three dense dim-4 generators and q, drawn as the custom-bound
-        # benchmark draws them; plain Kelley cutting planes took 56 solves
+        # benchmark draws them; plain Kelley cutting planes took 56 solves,
+        # and Newton points from q / |q|^2, with an LP every round, 16 and 9 LPs
         rng = np.random.default_rng(1)
         gens = []
         for _ in range(3):
@@ -385,8 +387,16 @@ class TestWork:
             gens.append(HermitianOperator(0.5 * (raw + raw.conj().T)))
         q = rng.standard_normal(3)
         count = _count_eigensolves(monkeypatch)
+        lps, master_dual = [0], families._master_dual
+
+        def counted_lp(*args):
+            lps[0] += 1
+            return master_dual(*args)
+
+        monkeypatch.setattr(families, "_master_dual", counted_lp)
         result = minimize_norm(ProcessFamily(gens), OneForm(q))
-        assert count[0] <= 20
+        assert count[0] <= 12
+        assert lps[0] <= 3
         assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
         assert not result.at_corner
 
