@@ -424,15 +424,17 @@ def _newton_points(
 def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
     """Maximize costs.x over x >= 0 with columns @ x = e_0, by revised simplex.
 
-    Each pivot solves with the basis columns of the original matrix, and
-    Bland's rule (lowest entering index, then lowest leaving column) rules
-    out cycling.  Returns the optimal basis, its weights x and the
-    multipliers y, which solve the LP dual min y_0 s.t. columns^T y >= costs.
-    A solve that overflows raises ConvergenceError before the reduced
-    costs are formed from it.
+    Each pivot solves with the basis columns of the original matrix; the
+    lowest index with a positive reduced cost enters, and the ratio test is
+    lexicographic over the columns of the inverse basis, x the first, with
+    ties up to rounding, so degenerate weights that are rounding noise
+    cannot make a basis repeat.  Returns the optimal basis, its weights x and
+    the multipliers y, which solve the LP dual min y_0 s.t. columns^T y >=
+    costs.  ConvergenceError flags a non-finite solve, before reduced costs
+    are formed from it, and a negative weight on a cut (first-row) column.
     """
-    rhs = np.zeros(columns.shape[0])
-    rhs[0] = 1.0
+    rhs = np.eye(columns.shape[0])[0]
+    abs_costs, abs_columns = np.abs(costs), np.abs(columns)
     for _ in range(MAX_PIVOTS):
         square = columns[:, basis]
         x = np.linalg.solve(square, rhs)
@@ -442,16 +444,21 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
         reduced = costs - y @ columns
         reduced[basis] = 0.0
         # the rounding error of a reduced cost scales with the terms it sums
-        entering = np.flatnonzero(reduced > PIVOT_TOL * (np.abs(costs) + np.abs(y) @ np.abs(columns)))
-        if entering.size == 0:
-            if x.min() < -PIVOT_TOL * np.abs(x).max():
+        improving = reduced > PIVOT_TOL * (abs_costs + np.abs(y) @ abs_columns)
+        entering = improving.argmax()
+        if not improving[entering]:
+            if x[columns[0, basis] != 0].min() < -PIVOT_TOL * np.abs(x).max():
                 raise ConvergenceError("the master LP settled on negative weights, which certify nothing")
             return basis, x, y
-        step = np.linalg.solve(square, columns[:, entering[0]])
-        rows = np.flatnonzero(step > PIVOT_TOL * np.abs(step).max())
+        step = np.linalg.solve(square, columns[:, entering])
+        top = np.abs(step).max()
+        rows = np.flatnonzero(step > PIVOT_TOL * top)
         ratios = np.maximum(x[rows], 0.0) / step[rows]
-        ties = rows[ratios <= ratios.min()]
-        basis[ties[np.argmin(basis[ties])]] = entering[0]
+        ties = rows[ratios <= ratios.min() + PIVOT_TOL * np.abs(x).max() / top]
+        for col in np.linalg.inv(square).T[1:] if ties.size > 1 else ():
+            ratios = col[ties] / step[ties]
+            ties = ties[ratios <= ratios.min() + PIVOT_TOL * np.abs(col).max() / top]
+        basis[ties[0]] = entering
     raise ConvergenceError(f"the master LP did not settle in {MAX_PIVOTS} pivots")
 
 
@@ -506,7 +513,7 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
         columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
         costs = np.concatenate([np.full(2 * k, -radius), center @ cuts / best])
         basis, x, y = _master_dual(columns, costs, basis)
-        boxed = np.any(x[basis < 2 * k] > PIVOT_TOL)
+        boxed = np.any(np.abs(x[basis < 2 * k]) > PIVOT_TOL)  # a negative box weight is noise, not a certificate
         lower = best * float(costs[basis] @ x)
         if not boxed and best - lower <= GAP_TOL * best:
             break
@@ -524,16 +531,9 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     # certificate cut comes from a point where that part nearly vanishes.
     plane_parts = step.T @ cuts[:, basis[(basis >= 2 * k) & (x > PIVOT_TOL)] - 2 * k]
     at_corner = bool(np.any(np.sum(plane_parts**2, axis=0) > KINK_TOL * _cuts(stack, (step @ plane_parts).T)[0]))
-    faces = None
-    if at_corner and isinstance(family, EpsilonPairFamily):
-        faces = _adjacent_faces(canonicalize(OneForm(q)))
-    return NormMinimizer(
-        vector=TangentVector(center),
-        norm=best,
-        at_corner=at_corner,
-        adjacent_faces=faces,
-        gap=max(best - lower, 0.0),
-    )
+    faces = _adjacent_faces(canonicalize(OneForm(q))) if at_corner and isinstance(family, EpsilonPairFamily) else None
+    gap = max(best - lower, 0.0)
+    return NormMinimizer(vector=TangentVector(center), norm=best, at_corner=at_corner, adjacent_faces=faces, gap=gap)
 
 
 # ---------------------------------------------------------------------------

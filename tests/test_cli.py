@@ -121,6 +121,8 @@ class TestLargeGeneratorEntries:
         [
             ("bound-custom-3", 1e10, 2.39439959006, 1e-9),
             ("bound-custom-3", 1e12, 2.39439959006, 1e-9),
+            ("bound-custom-3", 1e13, 2.39439959006, 1e-9),
+            ("bound-custom-3", 1e14, 2.39439959006, 1e-9),
             ("bound-custom-2", 1e100, 2.5, 1e-12),
             ("bound-custom-2", 1e150, 2.5, 1e-12),
         ],

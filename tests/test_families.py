@@ -500,12 +500,24 @@ class TestCertificate:
         assert solved >= 5
 
     def test_master_lp_refuses_an_infeasible_basis(self):
-        # the start basis weighs the box column -0.5: every reduced cost is
-        # already nonpositive, so the simplex would stop there, but weights
-        # below zero certify no lower bound
-        columns = np.array([[0.0, 0.0, 1.0], [1.0, -1.0, 0.5]])
+        # the start basis weighs the cuts 1.5 and -0.5: every reduced cost is
+        # already nonpositive, so the simplex would stop there, but cut
+        # weights below zero certify no lower bound
+        columns = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
         with pytest.raises(ConvergenceError, match="negative weights"):
-            families._master_dual(columns, np.array([-1.0, -1.0, 0.0]), np.array([2, 0]))
+            families._master_dual(columns, np.array([-1.0, 0.0, 0.0]), np.array([1, 2]))
+
+    def test_degenerate_master_lp_settles(self):
+        # the master LP of this kinked family is degenerate, with weights that
+        # are rounding noise of either sign where exact arithmetic has zeros;
+        # a lowest-index tie break in the ratio test cycled there for 10,000
+        # pivots, and the lexicographic ratio test settles
+        rng = np.random.default_rng([5, 12, 4, 2])
+        family, _ = _random_family(rng, "dense", 12, 4)
+        result = minimize_norm(family, OneForm(rng.standard_normal(12)))
+        assert result.norm == pytest.approx(0.2036688145627, rel=1e-11)
+        assert result.at_corner
+        assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
 
 
 class TestDualNorm:
