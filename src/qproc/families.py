@@ -43,6 +43,8 @@ UNSEEN_TOL = 1e-12
 # the dual norms whose square, the variance bound, is a finite normal float
 MAX_DUAL_NORM = float(np.sqrt(np.finfo(float).max))
 MIN_DUAL_NORM = float(np.sqrt(np.finfo(float).tiny))
+# the generator entries (64 MB) that one batched norm of a mesh may hold
+MESH_ENTRIES = 2**22
 
 
 class ProcessFamily:
@@ -83,10 +85,10 @@ class ProcessFamily:
         return self._stack.shape[-1]
 
     def _combination(self, b) -> np.ndarray:
-        """b^j T_j, the combination of the stored stack."""
+        """b^j T_j, the combination of the stored stack, for each direction b."""
         comps = _components(b)
-        if comps.size != self.n_params:
-            raise ArgumentError(f"direction length {comps.size} != parameter count {self.n_params}")
+        if comps.shape[-1] != self.n_params:
+            raise ArgumentError(f"direction length {comps.shape[-1]} != parameter count {self.n_params}")
         return np.tensordot(comps, self._stack, axes=1)
 
     def generator(self, b) -> HermitianOperator:
@@ -94,10 +96,13 @@ class ProcessFamily:
         comps = _components(b)
         return HermitianOperator(self._combination(comps) + (comps @ self._shift) * np.eye(self.dim))
 
-    def norm(self, b) -> float:
-        """Process norm of the direction: spectral spread of its generator."""
+    def norm(self, b) -> float | np.ndarray:
+        """Process norm of the direction: spectral spread of its generator.
+        A (P, n_params) array of directions gives their P norms from one
+        batched eigen-solve."""
         eigs = np.linalg.eigvalsh(self._combination(b))
-        return float(eigs[-1] - eigs[0])
+        spread = eigs[..., -1] - eigs[..., 0]
+        return spread if spread.ndim else float(spread)
 
     def _blocks(self, states) -> np.ndarray:
         """State columns (..., rows, k) as (..., 1 generator, ancilla, dim, k) blocks."""
@@ -143,11 +148,12 @@ class PauliZFamily(ProcessFamily):
     def generator(self, b) -> HermitianOperator:
         return HermitianOperator(np.diag(self._combination(b)).astype(complex))
 
-    def norm(self, b) -> float:
+    def norm(self, b) -> float | np.ndarray:
         comps = _components(b)
-        if comps.size != self.n_params:
+        if comps.shape[-1] != self.n_params:
             raise ArgumentError("direction length does not match qubit count")
-        return float(np.sum(np.abs(comps)))
+        norms = np.abs(comps).sum(axis=-1)
+        return norms if norms.ndim else float(norms)
 
     def apply(self, states) -> np.ndarray:
         blocks = self._blocks(states)
@@ -174,12 +180,6 @@ class BlochFamily(ProcessFamily):
             ]
         )
 
-    def norm(self, b) -> float:
-        comps = _components(b)
-        if comps.size != 3:
-            raise ArgumentError("Bloch directions have three components")
-        return float(np.linalg.norm(comps))
-
 
 class EpsilonPairFamily(ProcessFamily):
     """Two-qubit pair whose generators fail to commute by a tunable amount.
@@ -200,17 +200,13 @@ class EpsilonPairFamily(ProcessFamily):
         second = np.kron(eye, 0.5 * SIGMA_Z)
         super().__init__([HermitianOperator(first), HermitianOperator(second)])
 
-    def norm(self, b) -> float:
-        comps = _components(b)
-        if comps.size != 2:
-            raise ArgumentError("pair directions have two components")
-        return float(abs(comps[0]) + np.sqrt(comps[1] ** 2 + 2 * self.epsilon * comps[0] ** 2))
-
 
 def _components(b) -> np.ndarray:
+    """The components of a direction; the rows of a 2-D array are directions."""
     if isinstance(b, (TangentVector, OneForm)):
         return b.components
-    return np.asarray(b, dtype=float).reshape(-1)
+    comps = np.asarray(b, dtype=float)
+    return comps if comps.ndim == 2 else comps.reshape(-1)
 
 
 def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +247,7 @@ class NormMinimizer:
     minimizer, where saturating measurements must be mixed
     probabilistically.  ``gap`` is ``norm`` minus a certified lower bound
     on the minimum over the plane: every b with q.b = 1 has
-    norm(b) >= norm - gap.  It is 0.0 for the closed forms.
+    norm(b) >= norm - gap.  It is 0.0 on the polytope path.
     """
 
     vector: TangentVector
@@ -278,8 +274,8 @@ class NormMinimizer:
 def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     """Minimize the process norm over the plane of unit advance in q.
 
-    Closed-form solutions cover the commuting and Bloch families.  The
-    partially commuting pair and custom families run cutting planes over
+    The commuting family has its closed form at the cross-polytope's
+    vertex.  Every other family, named or custom, runs cutting planes over
     the part of the constraint plane the process can see, until the best
     norm found is within GAP_TOL (relative) of the lower bound certified
     by the master LP's weights; the result carries that ``gap``.  Trial
@@ -298,10 +294,6 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
 
     if isinstance(family, PauliZFamily):
         result = _polytope_minimizer(q)
-    elif isinstance(family, BlochFamily):
-        vec = q / (q @ q)
-        norm = float(np.linalg.norm(vec))
-        result = NormMinimizer(vector=TangentVector(vec), norm=norm, at_corner=False)
     else:
         try:
             result = _numeric_minimizer(family, q)
@@ -552,7 +544,9 @@ def unit_ball_mesh(family: ProcessFamily, resolution: int) -> dict:
         rays = bloch_direction_grid(resolution)
     else:
         raise UnsupportedDimensionError(f"mesh export supports 2 or 3 parameters, not {n}")
-    samples = np.array([ray / family.norm(ray) for ray in rays])
+    rows = max(1, MESH_ENTRIES // family.dim**2)
+    norms = np.concatenate([family.norm(rays[i : i + rows]) for i in range(0, len(rays), rows)])
+    samples = rays / norms[:, None]
     if isinstance(family, PauliZFamily):
         vertices = np.concatenate([np.eye(n), -np.eye(n)])
     else:

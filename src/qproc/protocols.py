@@ -383,11 +383,6 @@ class ZooAmplitudes:
         strings = product((1, -1), repeat=self.n)
         return np.array([np.prod([(1 + aj * zj) / 2 for aj, zj in zip(self.a, z)]) for z in strings])
 
-    def fisher(self) -> FisherMatrix:
-        """Closed-form information matrix delta_jk (1 - a_j^2) + a_j a_k."""
-        a = self.a
-        return FisherMatrix(np.diag(1.0 - a**2) + np.outer(a, a))
-
 
 def _zoo_distribution(weights, n_params: int | None) -> np.ndarray:
     """Checked probabilities of the full sign strings, in ``product((1, -1))``

@@ -12,6 +12,20 @@ import pytest
 
 from qproc import cli
 from qproc.cli import main
+from qproc.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_z_generators
+
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+I2 = np.eye(2)
+
+
+def custom_family(generators) -> dict:
+    """The custom-unitary config section of the generator matrices."""
+    return {"kind": "custom-unitary", "generators": [np.stack([g.real, g.imag], -1).tolist() for g in generators]}
+
+
+def pair_generators(eps: float) -> list:
+    """The epsilon-pair generators Z/2 (x) I + sqrt(2 eps) I (x) X/2 and I (x) Z/2."""
+    return [np.kron(SIGMA_Z, I2) / 2 + np.sqrt(2 * eps) * np.kron(I2, SIGMA_X) / 2, np.kron(I2, SIGMA_Z) / 2]
 
 PASSING_SIM = {
     "schema_version": 1,
@@ -99,6 +113,31 @@ class TestBoundCommand:
         assert code == 0
         eigs = np.linalg.eigvalsh(np.tensordot(payload["b_min"], np.array(gens), axes=1))
         assert payload["norm"] == pytest.approx(eigs[-1] - eigs[0], rel=1e-12)
+
+
+class TestNamedFamiliesAreTheirGenerators:
+    """Each named family gives the bound that its generators, written out as a
+    custom-unitary family, give on the cutting planes."""
+
+    @pytest.mark.parametrize(
+        "family, generators",
+        [
+            *[({"kind": "pauli-z", "N": n}, [g.entries for g in pauli_z_generators(n)]) for n in (2, 3, 4)],
+            ({"kind": "bloch"}, [m / 2 for m in PAULIS]),
+            *[({"kind": "epsilon-pair", "epsilon": eps}, pair_generators(eps)) for eps in (0.0, 0.3)],
+        ],
+        ids=["pauli-z-2", "pauli-z-3", "pauli-z-4", "bloch", "pair-0", "pair-0.3"],
+    )
+    def test_same_bound_and_corner(self, tmp_path, family, generators):
+        custom = custom_family(generators)
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            q = rng.standard_normal(len(generators)).tolist()
+            named = run_json(tmp_path, "bound", {"schema_version": 1, "family": family, "q": q})
+            spelled = run_json(tmp_path, "bound", {"schema_version": 1, "family": custom, "q": q})
+            assert named[0] == spelled[0] == 0
+            assert named[1]["variance_bound"] == pytest.approx(spelled[1]["variance_bound"], rel=1e-12)
+            assert named[1]["at_corner"] == spelled[1]["at_corner"]
 
 
 GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
@@ -372,6 +411,31 @@ class TestGeometryCommand:
             {"schema_version": 1, "family": {"kind": "pauli-z", "N": 4}, "q": [1.0, 0.5, 0.25, 0.1]},
         )
         assert main(["geometry", config]) == 2
+
+    @pytest.mark.parametrize(
+        "family, q, unit_norm",
+        [
+            ({"kind": "bloch"}, [0.3, -0.4, 1.2], np.linalg.norm),
+            # |s_1| + sqrt(s_2^2 + 2 epsilon s_1^2) at epsilon = 0.3
+            ({"kind": "epsilon-pair", "epsilon": 0.3}, [1.0, 0.5], lambda s: abs(s[0]) + np.hypot(s[1], 0.6**0.5 * s[0])),
+            # the Pauli matrices themselves: twice the Bloch generators, so twice the Euclidean norm
+            (custom_family(PAULIS), [0.3, -0.4, 1.2], lambda s: 2.0 * np.linalg.norm(s)),
+        ],
+    )
+    def test_one_eigen_solve_per_mesh(self, tmp_path, monkeypatch, family, q, unit_norm):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        config = {"schema_version": 1, "family": family, "q": q, "geometry": {"resolution": 500}}
+        code, payload = run_json(tmp_path, "geometry", config)
+        assert code == 0
+        assert len(calls) == 1
+        assert len(payload["samples"]) == 500
+        assert max(abs(unit_norm(s) - 1.0) for s in payload["samples"]) <= 1e-12
 
     def test_fisher_ellipsoid_attached(self, tmp_path):
         code, payload = run_json(

@@ -30,6 +30,11 @@ from qproc.operators import SIGMA_X, SIGMA_Z
 from conftest import random_hermitian, random_traceless_hermitian
 
 
+def pair_norm(eps, b) -> float:
+    """The pair family's closed-form norm |b_1| + sqrt(b_2^2 + 2 eps b_1^2)."""
+    return abs(b[0]) + np.sqrt(b[1] ** 2 + 2 * eps * b[0] ** 2)
+
+
 def random_custom_family(rng, n_params=3, dim=4):
     gens = [random_traceless_hermitian(rng, dim) for _ in range(n_params)]
     return ProcessFamily(gens)
@@ -184,13 +189,32 @@ class TestProcessNorm:
         family = EpsilonPairFamily(eps)
         for _ in range(50):
             b = rng.standard_normal(2)
-            assert family.norm(b) == pytest.approx(seminorm(family.generator(b)), abs=1e-12)
+            assert family.norm(b) == pytest.approx(pair_norm(eps, b), abs=1e-12)
 
     def test_closed_form_matches_spectral_spread_bloch(self, rng):
         family = BlochFamily()
         for _ in range(50):
             b = rng.standard_normal(3)
-            assert family.norm(b) == pytest.approx(seminorm(family.generator(b)), abs=1e-12)
+            assert family.norm(b) == pytest.approx(np.linalg.norm(b), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_family",
+        [
+            lambda rng: PauliZFamily(3),
+            lambda rng: BlochFamily(),
+            lambda rng: EpsilonPairFamily(0.3),
+            random_custom_family,
+        ],
+    )
+    def test_rows_match_one_direction_at_a_time(self, rng, make_family):
+        family = make_family(rng)
+        directions = rng.standard_normal((40, family.n_params))
+        norms = family.norm(directions)
+        assert norms.shape == (40,)
+        assert np.allclose(norms, [family.norm(b) for b in directions], rtol=1e-14, atol=0)
+        assert type(family.norm(directions[0])) is float
+        with pytest.raises(ArgumentError):
+            family.norm(np.ones((4, family.n_params + 1)))
 
 
 class TestMinimizeNorm:
@@ -217,6 +241,18 @@ class TestMinimizeNorm:
         assert result.norm == pytest.approx(0.5)
         assert result.dual_norm == pytest.approx(2.0)
         assert not result.at_corner
+
+    def test_bloch_matches_euclidean_closed_form(self, rng):
+        # the shortest b with q.b = 1 is q / |q|^2, of norm 1 / |q|, at every scale of q
+        for scale in 10.0 ** np.arange(-150, 151, 25):
+            for _ in range(10):
+                q = rng.standard_normal(3)
+                q *= scale / np.linalg.norm(q)
+                result = minimize_norm(BlochFamily(), OneForm(q))
+                assert result.norm == pytest.approx(1.0 / scale, rel=1e-14)
+                assert np.allclose(result.vector.components, q / (q @ q), rtol=1e-12, atol=0)
+                assert not result.at_corner
+                assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
 
     def test_pair_cusp(self):
         result = minimize_norm(EpsilonPairFamily(0.5), OneForm([0.3, 1.0]))
@@ -624,6 +660,20 @@ class TestUnitBallMesh:
     def test_too_many_parameters(self):
         with pytest.raises(UnsupportedDimensionError):
             unit_ball_mesh(PauliZFamily(4), 16)
+
+    def test_large_mesh_runs_in_bounded_solves(self, monkeypatch):
+        family = EpsilonPairFamily(0.3)
+        whole = unit_ball_mesh(family, 1000)["samples"]
+        monkeypatch.setattr(families, "MESH_ENTRIES", 64 * 16)  # 64 rays of 4 x 4 combinations
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(matrices):
+            sizes.append(len(matrices))
+            return eigvalsh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert unit_ball_mesh(family, 1000)["samples"] == whole
+        assert sizes == [64] * 15 + [40]
 
     def test_two_parameter_polytope(self):
         mesh = unit_ball_mesh(PauliZFamily(2), 16)
