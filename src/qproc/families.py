@@ -85,7 +85,7 @@ class ProcessFamily:
         return self._stack.shape[-1]
 
     def _combination(self, b) -> np.ndarray:
-        """b^j T_j, the combination of the stored stack, for each direction b."""
+        """b^j T_j, the combination of the stored stack; one per row of a 2-D b."""
         comps = _components(b)
         if comps.shape[-1] != self.n_params:
             raise ArgumentError(f"direction length {comps.shape[-1]} != parameter count {self.n_params}")

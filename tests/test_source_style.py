@@ -64,7 +64,7 @@ UNREAD_ON_PURPOSE = (
     ("simulate.fit_bias_polynomial", "acceptance criterion 8: the polynomial bias fit"),
     ("protocols.parity_operator", "the paper's local parity realisation of the conjugate-cat readout"),
     ("protocols.parity_eigenvalue", "the paper's local parity realisation of the conjugate-cat readout"),
-    ("protocols.mixture", "library helper: the probabilistic combination of protocols, whose information mixes"),
+    ("protocols.mixture", "library helper: a weighted combination of protocols, whose information mixes linearly"),
     ("operators.PureState.density", "library helper: the density operator of a pure state"),
     ("families.ProcessFamily.generator", "library helper: the change generator b^j X_j the norm is the spread of"),
     ("families.PauliZFamily.generator", "library helper: the diagonal change generator of the commuting family"),
