@@ -14,7 +14,6 @@ from .errors import (
     SchemaError,
     UnboundedVarianceError,
     UnsupportedDimensionError,
-    UnsupportedProtocolError,
 )
 from .families import (
     BlochFamily,
@@ -22,7 +21,6 @@ from .families import (
     NormMinimizer,
     PauliZFamily,
     ProcessFamily,
-    cross_polytope_decomposition,
     dual_norm,
     minimize_norm,
     unit_ball_mesh,

@@ -29,8 +29,10 @@ from .errors import ArgumentError, QprocError, SchemaError, UnboundedVarianceErr
 from .families import (
     BlochFamily,
     EpsilonPairFamily,
+    NormMinimizer,
     PauliZFamily,
     ProcessFamily,
+    check_certificate,
     minimize_norm,
     unit_ball_mesh,
 )
@@ -252,7 +254,7 @@ def family_from_config(config: dict) -> ProcessFamily:
     return family
 
 
-def protocol_from_config(config: dict, family: ProcessFamily) -> Protocol:
+def protocol_from_config(config: dict, minimizer: NormMinimizer) -> Protocol:
     section = config.get("protocol")
     if section is None:
         raise SchemaError("this command needs a protocol block in the config")
@@ -263,26 +265,16 @@ def protocol_from_config(config: dict, family: ProcessFamily) -> Protocol:
     if kind == "hyperedge":
         return hyperedge_protocol(section["w"])
     if kind == "corner":
-        if isinstance(family, EpsilonPairFamily) and family.epsilon > 0:
-            return optimal_protocol(family, dq)
         return corner_protocol(dq)
     if kind == "zoo":
         if "a" in section:
             return zoo_protocol(ZooAmplitudes(np.array(section["a"])), variant=section.get("variant", "branched"))
         if "p" in section:
-            return zoo_protocol(section["p"], n_params=family.n_params, variant=section.get("variant", "branched"))
+            return zoo_protocol(section["p"], n_params=len(dq), variant=section.get("variant", "branched"))
         raise SchemaError("zoo protocols need marginals 'a' or a distribution 'p'")
     if kind == "bloch":
         return bloch_protocol(dq)
-    return optimal_protocol(family, dq)
-
-
-def _claims_optimality(section: dict | None) -> bool:
-    if section is None:
-        return False
-    if "expect_optimal" in section:
-        return bool(section["expect_optimal"])
-    return section["kind"] in ("corner", "bloch", "optimal")
+    return optimal_protocol(minimizer)
 
 
 def _kisses(residual: float, norm: float, dq: OneForm) -> bool:
@@ -303,9 +295,7 @@ def cmd_bound(config: dict) -> tuple[int, dict]:
         "dual_norm": result.dual_norm,
         "variance_bound": result.dual_norm**2,
         "at_corner": result.at_corner,
-        "adjacent_faces": None
-        if result.adjacent_faces is None
-        else [list(f) for f in result.adjacent_faces],
+        "adjacent_faces": result.adjacent_faces,
         "canonicalization": {
             "permutation": list(canonical.permutation),
             "scale": canonical.scale,
@@ -319,9 +309,9 @@ def cmd_bound(config: dict) -> tuple[int, dict]:
 def cmd_protocol(config: dict) -> tuple[int, dict]:
     family = family_from_config(config)
     dq = OneForm(config["q"])
-    protocol = protocol_from_config(config, family)
-    fisher = protocol_fisher(protocol, family)
     minimizer = minimize_norm(family, dq)
+    protocol = protocol_from_config(config, minimizer)
+    fisher = protocol_fisher(protocol, family)
     residual = kissing_residual(fisher, minimizer.vector, family, dq)
     payload = {
         "family": family.describe(),
@@ -332,8 +322,9 @@ def cmd_protocol(config: dict) -> tuple[int, dict]:
         "variance_bound": minimizer.dual_norm**2,
         "weights": protocol.weights.tolist(),
     }
-    code = 1 if (_claims_optimality(config.get("protocol")) and not _kisses(residual, minimizer.norm, dq)) else 0
-    return code, payload
+    section = config["protocol"]
+    claims = section.get("expect_optimal", section["kind"] in ("corner", "bloch", "optimal"))
+    return (1 if claims and not _kisses(residual, minimizer.norm, dq) else 0), payload
 
 
 def cmd_simulate(config: dict) -> tuple[int, dict]:
@@ -341,9 +332,10 @@ def cmd_simulate(config: dict) -> tuple[int, dict]:
     sim = config.get("simulate")
     if sim is None:
         raise SchemaError("simulate runs need a simulate block")
-    protocol = protocol_from_config(config, family)
     dq = OneForm(config["q"])
-    bound = minimize_norm(family, dq).dual_norm ** 2
+    minimizer = minimize_norm(family, dq)
+    protocol = protocol_from_config(config, minimizer)
+    bound = minimizer.dual_norm**2
     theta = np.asarray(sim.get("theta_true", [0.0] * family.n_params), dtype=float)
     if theta.size != family.n_params:
         raise SchemaError("theta_true length does not match the family")
@@ -369,7 +361,7 @@ def cmd_geometry(config: dict) -> tuple[int, dict]:
     dq = OneForm(config["q"])
     payload["level_normal"] = [float(x) for x in dq.components]
     if config.get("protocol") is not None:
-        protocol = protocol_from_config(config, family)
+        protocol = protocol_from_config(config, minimize_norm(family, dq))
         fisher = protocol_fisher(protocol, family)
         payload["fisher_ellipsoid"] = [[float(x) for x in row] for row in fisher.entries]
     return 0, payload
@@ -379,16 +371,14 @@ def cmd_verify(config: dict) -> tuple[int, dict]:
     family = family_from_config(config)
     dq = OneForm(config["q"])
     minimizer = minimize_norm(family, dq)
-    checks = {
-        "duality": abs(minimizer.dual_norm * minimizer.norm - 1.0) <= 1e-10,
-    }
+    checks = {"duality": check_certificate(family, dq, minimizer)}
     payload = {
         "family": family.describe(),
         "q": [float(x) for x in dq.components],
         "variance_bound": minimizer.dual_norm**2,
     }
     if config.get("protocol") is not None:
-        protocol = protocol_from_config(config, family)
+        protocol = protocol_from_config(config, minimizer)
         fisher = protocol_fisher(protocol, family)
         residual = kissing_residual(fisher, minimizer.vector, family, dq)
         try:

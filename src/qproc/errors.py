@@ -49,10 +49,6 @@ class UnsupportedDimensionError(QprocError):
     """Operation only defined for a restricted number of parameters."""
 
 
-class UnsupportedProtocolError(QprocError):
-    """No constructive protocol is available for this family/target pair."""
-
-
 class EstimationError(QprocError):
     """Estimation cannot proceed (e.g. a branch received no data)."""
 

@@ -40,6 +40,7 @@ MAX_CUTS = 1000
 MAX_PIVOTS = 10000
 PIVOT_TOL = 1e-14
 UNSEEN_TOL = 1e-12
+CERTIFICATE_TOL = 1e-10  # the rounding to which check_certificate holds a certificate
 # the dual norms whose square, the variance bound, is a finite normal float
 MAX_DUAL_NORM = float(np.sqrt(np.finfo(float).max))
 MIN_DUAL_NORM = float(np.sqrt(np.finfo(float).tiny))
@@ -209,33 +210,73 @@ def _components(b) -> np.ndarray:
     return comps if comps.ndim == 2 else comps.reshape(-1)
 
 
-def cross_polytope_decomposition(canonical_components) -> tuple[np.ndarray, np.ndarray]:
-    """Faces adjacent to the leading vertex and the mixing weights.
+def string_states(signs: np.ndarray, ancilla: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The one-hot states |z> and |-z> (2, B, 2^(n + ancilla)) of the rows z
+    of ``signs`` (B, n), zero slots read as +1, and their indices (2, B):
+    qubit j's bit is 1 where its sign is -1; ``ancilla`` prepends a qubit
+    that records the string's first sign."""
+    n = signs.shape[1]
+    bits = 1 << np.arange(n - 1, -1, -1)
+    indices = np.array([(signs < 0) @ bits, (signs > 0) @ bits])
+    if ancilla:
+        indices += (signs[:, 0] < 0).astype(int) << n
+    states = np.zeros((2, len(signs), 2 ** (n + ancilla)))
+    rows = np.arange(len(signs))
+    states[0, rows, indices[0]] = states[1, rows, indices[1]] = 1.0
+    return states, indices
 
-    For a canonical form c (1 = c_1 >= |c_2| >= ... > 0) returns sign
-    strings z^(k) (rows) and weights p_k with sum_k p_k z^(k) = c: the
-    first string takes the signs of c, string k flips every sign from
-    slot k onward, and the weights are p_1 = (1 + |c_m|)/2,
-    p_k = (|c_{k-1}| - |c_k|)/2.
+
+@dataclass(frozen=True)
+class Certificate:
+    """Cuts g_i (C, n) with weights w_i (C,), g_j = <t|X_j|t> - <u|X_j|u> for
+    the unit pair t, u = pairs[:, i] (2, C, dim), so g_i.b <= norm(b).  In a
+    dual certificate w_i > 0, sum_i w_i = 1 and sum_i w_i g_i = mu q with
+    ``inv_mu`` = 1/mu, so every b with q.b = 1 has norm(b) >= mu."""
+
+    cuts: np.ndarray
+    weights: np.ndarray
+    pairs: np.ndarray
+    inv_mu: float
+
+
+def polytope_certificate(canonical: CanonicalForm) -> Certificate:
+    """The commuting family's certificate at the cross-polytope's vertex.
+
+    For the canonical form c (1 = c_1 >= |c_2| >= ... > 0) the cuts are the
+    faces adjacent to the leading vertex, sign strings z^(k) with weights
+    p_k and sum_k p_k z^(k) = c: the first string takes the signs of c,
+    string k flips every sign from slot k onward, and p_1 = (1 + |c_m|)/2,
+    p_k = (|c_{k-1}| - |c_k|)/2.  Those of positive weight come back in the
+    original indexing, each the cut of the pair |z>, |-z>.
     """
-    c = np.asarray(canonical_components, dtype=float).reshape(-1)
-    m = c.size
-    signs = np.where(c >= 0, 1, -1)
-    # string k >= 1 flips slots k onward: slot j flips in the strings 1..j
-    slots = np.arange(m)
-    strings = np.where((slots[None, :] >= slots[:, None]) & (slots[:, None] > 0), -signs, signs)
+    c = canonical.canonical.components
     mags = np.abs(c)
-    weights = np.empty(m)
+    weights = np.empty(c.size)
     weights[0] = 0.5 * (1.0 + mags[-1])
-    if m > 1:
-        weights[1:] = 0.5 * (mags[:-1] - mags[1:])
-    return strings, weights
+    weights[1:] = 0.5 * (mags[:-1] - mags[1:])
+    kept = np.flatnonzero(weights > 0.0)
+    # string k >= 1 flips slots k onward: slot j flips in the strings 1..j
+    flips = (np.arange(c.size) >= kept[:, None]) & (kept[:, None] > 0)
+    cuts = canonical.embed_signs(np.where(flips, -1, 1) * np.where(c >= 0, 1, -1))
+    return Certificate(cuts, weights[kept], string_states(cuts)[0], canonical.scale)
 
 
-def _adjacent_faces(canonical: CanonicalForm) -> tuple[tuple[int, ...], ...]:
-    """Faces adjacent to the target's vertex, as sign strings in the original indexing."""
-    strings, _ = cross_polytope_decomposition(canonical.canonical.components)
-    return tuple(map(tuple, canonical.embed_signs(strings).tolist()))
+def check_certificate(family: ProcessFamily, dq: OneForm, minimizer: "NormMinimizer") -> bool:
+    """Whether the minimizer's certificate proves its norm, each cut recomputed
+    through ``family.apply`` from its pair: unit pairs, w_i >= 0, sum_i w_i =
+    1 and sum_i w_i g_i = mu q to rounding, and norm - mu <= GAP_TOL norm."""
+    cert = minimizer.certificate
+    expect = (cert.pairs.conj()[:, :, None, None] @ family.apply(cert.pairs[..., None]))[..., 0, 0].real
+    residual = cert.weights @ (expect[0] - expect[1]) - dq.components / cert.inv_mu
+    # the rounding of each sum scales with the expectations it differences
+    rounding = CERTIFICATE_TOL * np.max(cert.weights @ np.abs(expect).sum(axis=0))
+    return bool(
+        np.all(np.abs(np.linalg.norm(cert.pairs, axis=-1) - 1.0) <= CERTIFICATE_TOL)
+        and cert.weights.min() >= 0.0
+        and abs(cert.weights.sum() - 1.0) <= CERTIFICATE_TOL
+        and np.all(np.abs(residual) <= rounding)
+        and minimizer.gap <= GAP_TOL * minimizer.norm
+    )
 
 
 @dataclass(frozen=True)
@@ -245,29 +286,33 @@ class NormMinimizer:
     ``dual_norm`` squared is the attainable variance bound per
     interaction; ``at_corner`` flags a kink of the unit surface at the
     minimizer, where saturating measurements must be mixed
-    probabilistically.  ``gap`` is ``norm`` minus a certified lower bound
-    on the minimum over the plane: every b with q.b = 1 has
-    norm(b) >= norm - gap.  It is 0.0 on the polytope path.
+    probabilistically.  The ``certificate``, never printed, proves norm(b)
+    >= norm - gap for every b with q.b = 1 (gap 0.0 on the polytope path),
+    and its cuts at a kink are the ``adjacent_faces``.
     """
 
     vector: TangentVector
     norm: float
     at_corner: bool
-    adjacent_faces: tuple[tuple[int, ...], ...] | None = None
-    gap: float = 0.0
+    certificate: Certificate
 
     @property
     def dual_norm(self) -> float:
         return 1.0 / self.norm
 
+    @property
+    def gap(self) -> float:
+        return max(self.norm - 1.0 / self.certificate.inv_mu, 0.0)
+
+    @property
+    def adjacent_faces(self) -> list | None:
+        return self.certificate.cuts.tolist() if self.at_corner else None
+
     def __post_init__(self):
-        if not self.dual_norm < MAX_DUAL_NORM:
+        if not MIN_DUAL_NORM <= self.dual_norm < MAX_DUAL_NORM:
+            flows = "underflows" if self.dual_norm < MIN_DUAL_NORM else "overflows"
             raise ArgumentError(
-                f"the variance bound {self.dual_norm:.3e}^2 overflows a float; rescale the target or the generators"
-            )
-        if self.dual_norm < MIN_DUAL_NORM:
-            raise ArgumentError(
-                f"the variance bound {self.dual_norm:.3e}^2 underflows a float; rescale the target or the generators"
+                f"the variance bound {self.dual_norm:.3e}^2 {flows} a float; rescale the target or the generators"
             )
 
 
@@ -275,16 +320,12 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     """Minimize the process norm over the plane of unit advance in q.
 
     The commuting family has its closed form at the cross-polytope's
-    vertex.  Every other family, named or custom, runs cutting planes over
-    the part of the constraint plane the process can see, until the best
-    norm found is within GAP_TOL (relative) of the lower bound certified
-    by the master LP's weights; the result carries that ``gap``.  Trial
-    points, from the Hilbert-Schmidt minimizer on, are Newton points of
-    the spread, with probes about the last one, where its end eigenvalues
-    are simple, and Kelley's points elsewhere.  UnboundedVarianceError
-    flags a target the process cannot see; ConvergenceError a singular or
-    non-finite solve or, carrying the best point as ``best``, a gap that
-    MAX_CUTS rounds of cuts leave open.
+    vertex.  Every other family, named or custom, runs cutting planes
+    (``_numeric_minimizer``) until the best norm found is within GAP_TOL
+    (relative) of the lower bound its certificate proves.
+    UnboundedVarianceError flags a target the process cannot see;
+    ConvergenceError a singular or non-finite solve or, carrying the best
+    point as ``best``, a gap that MAX_CUTS rounds of cuts leave open.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -307,18 +348,10 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
 
 def _polytope_minimizer(q: np.ndarray) -> NormMinimizer:
     canonical = canonicalize(OneForm(q))
-    lead_index = canonical.permutation[0]
     vec = np.zeros(q.size)
-    vec[lead_index] = 1.0 / q[lead_index]
-    mags = np.abs(canonical.canonical.components)
-    at_corner = bool(np.any(np.abs(mags - 1.0) > 1e-12))
-    faces = _adjacent_faces(canonical) if at_corner else None
-    return NormMinimizer(
-        vector=TangentVector(vec),
-        norm=float(np.abs(vec).sum()),
-        at_corner=at_corner,
-        adjacent_faces=faces,
-    )
+    vec[canonical.permutation[0]] = canonical.sign / canonical.scale
+    corner = bool(np.any(np.abs(np.abs(canonical.canonical.components) - 1.0) > 1e-12))
+    return NormMinimizer(TangentVector(vec), 1.0 / canonical.scale, corner, polytope_certificate(canonical))
 
 
 def dual_norm(family: ProcessFamily, dq: OneForm) -> float:
@@ -358,15 +391,16 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     return vt[1 + unseen.shape[1] :].T
 
 
-def _cuts(stack: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cuts(stack: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The norms at the rows b of points and their cuts g_j = <top|X_j|top> -
     <bottom|X_j|bottom>, each with g.b' <= norm(b') for every b', equality at
-    its b; then the eigenvalues and eigenvectors of one batched eigen-solve."""
+    its b; then the eigenvalues and eigenvectors of one batched eigen-solve,
+    and the (top, bottom) columns (P, dim, 2) of each cut."""
     n, dim = stack.shape[:2]
     eigs, vecs = np.linalg.eigh((points @ stack.reshape(n, -1)).reshape(-1, dim, dim))
     ends = vecs[..., [-1, 0]]
     expect = np.einsum("pak,jab,pbk->pjk", ends.conj(), stack, ends).real
-    return eigs[:, -1] - eigs[:, 0], expect[..., 0] - expect[..., 1], eigs, vecs
+    return eigs[:, -1] - eigs[:, 0], expect[..., 0] - expect[..., 1], eigs, vecs, ends
 
 
 def _newton_points(
@@ -422,8 +456,10 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
     ties up to rounding, so degenerate weights that are rounding noise
     cannot make a basis repeat.  Returns the optimal basis, its weights x and
     the multipliers y, which solve the LP dual min y_0 s.t. columns^T y >=
-    costs.  ConvergenceError flags a non-finite solve, before reduced costs
-    are formed from it, and a negative weight on a cut (first-row) column.
+    costs.  A cut (first-row) weight that an ill-conditioned basis leaves
+    below zero past rounding is raised by dual simplex pivots, where some
+    column can raise it.  ConvergenceError flags a non-finite solve, before
+    reduced costs are formed from it.
     """
     rhs = np.eye(columns.shape[0])[0]
     abs_costs, abs_columns = np.abs(costs), np.abs(columns)
@@ -439,9 +475,17 @@ def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
         improving = reduced > PIVOT_TOL * (abs_costs + np.abs(y) @ abs_columns)
         entering = improving.argmax()
         if not improving[entering]:
-            if x[columns[0, basis] != 0].min() < -PIVOT_TOL * np.abs(x).max():
-                raise ConvergenceError("the master LP settled on negative weights, which certify nothing")
-            return basis, x, y
+            cut_weights = np.where(columns[0, basis] != 0, x, 0.0)
+            leave = cut_weights.argmin()
+            if cut_weights[leave] >= -PIVOT_TOL * np.abs(x).max():
+                return basis, x, y
+            # the most negative cut weight leaves for the column that keeps every reduced cost nonpositive
+            row = np.linalg.solve(square.T, np.eye(len(basis))[leave]) @ columns
+            eligible = np.flatnonzero(row < -PIVOT_TOL * np.abs(row).max())
+            if eligible.size == 0:
+                return basis, x, y
+            basis[leave] = eligible[np.argmin(reduced[eligible] / row[eligible])]
+            continue
         step = np.linalg.solve(square, columns[:, entering])
         top = np.abs(step).max()
         rows = np.flatnonzero(step > PIVOT_TOL * top)
@@ -469,9 +513,10 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     cuts from cancelling digits.  The first 2k columns +-e_i with cost
     -radius bound the box |t_i| <= radius, which keeps the LP bounded;
     radius grows tenfold while the box carries weight.  With no weight on
-    the box, the LP value ``lower`` bounds the norm from below on the
-    whole plane, since its weights w satisfy sum_i w_i g_i = lower * q.
-    The loop stops when the best norm seen is within GAP_TOL of ``lower``.
+    the box, and none below zero on a cut, the LP value mu is certified:
+    sum_i w_i g_i = mu q.  The loop stops when the best norm seen is within
+    GAP_TOL of mu; the positive-weight cuts, with their pairs, are the
+    result's certificate.
 
     The next points come from ``_newton_points`` while the last ones
     improved on the best and its quadratic model holds; otherwise the
@@ -488,11 +533,12 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     base = (q - step @ np.linalg.lstsq(gram @ step, gram @ q, rcond=None)[0]) / (q @ q)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
-    cuts = np.zeros((q.size, 0))
+    cuts, ends = np.zeros((q.size, 0)), []
     radius, best, center, points, basis = 1.0, np.inf, base, base[None], None
     for rounds in range(MAX_CUTS):
-        values, g, eigs, vecs = _cuts(stack, points)
+        values, g, eigs, vecs, pair_ends = _cuts(stack, points)
         cuts = np.hstack([cuts, np.stack([g, -g], axis=1).reshape(-1, q.size).T])
+        ends.append(pair_ends)
         i, model = np.argmin(values), None
         if values[i] < best:
             best, center, model = float(values[i]), points[i], (g[i], eigs[i], vecs[i])
@@ -505,27 +551,33 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
         columns = np.hstack([box, np.vstack([np.ones(cuts.shape[1]), step.T @ cuts / best])])
         costs = np.concatenate([np.full(2 * k, -radius), center @ cuts / best])
         basis, x, y = _master_dual(columns, costs, basis)
-        boxed = np.any(np.abs(x[basis < 2 * k]) > PIVOT_TOL)  # a negative box weight is noise, not a certificate
-        lower = best * float(costs[basis] @ x)
-        if not boxed and best - lower <= GAP_TOL * best:
+        held = basis >= 2 * k
+        boxed = np.any(np.abs(x[~held]) > PIVOT_TOL)  # a negative box weight is noise, not a certificate
+        negative = x[held].min() < -PIVOT_TOL * np.abs(x).max()
+        mu = best * float(costs[basis] @ x)  # sum_i w_i g_i.center, as the LP sums it
+        if not (boxed or negative) and best - mu <= GAP_TOL * best:
             break
         if boxed:
             radius *= 10.0
         points = (center - step @ y[1:])[None] if newton is None else newton
     else:
         raise ConvergenceError(
-            f"cutting planes left a gap of {best - lower:.3e} after {MAX_CUTS} rounds of cuts",
+            f"cutting planes left a gap of {best - mu:.3e} after {MAX_CUTS} rounds of cuts",
             best=TangentVector(center),
         )
     # A kink shows as a certificate cut g whose part along the plane, a =
     # step^T g, is not negligible next to the norm of that direction:
     # g.(step a) = |a|^2 against norm(step a).  At a smooth minimum every
     # certificate cut comes from a point where that part nearly vanishes.
-    plane_parts = step.T @ cuts[:, basis[(basis >= 2 * k) & (x > PIVOT_TOL)] - 2 * k]
+    held &= x > PIVOT_TOL
+    columns = basis[held] - 2 * k
+    plane_parts = step.T @ cuts[:, columns]
     at_corner = bool(np.any(np.sum(plane_parts**2, axis=0) > KINK_TOL * _cuts(stack, (step @ plane_parts).T)[0]))
-    faces = _adjacent_faces(canonicalize(OneForm(q))) if at_corner and isinstance(family, EpsilonPairFamily) else None
-    gap = max(best - lower, 0.0)
-    return NormMinimizer(vector=TangentVector(center), norm=best, at_corner=at_corner, adjacent_faces=faces, gap=gap)
+    # column 2p holds point p's cut from (top, bottom), column 2p + 1 its mirror from (bottom, top)
+    pairs = np.moveaxis(np.concatenate(ends)[columns // 2], -1, 0)
+    pairs[:, columns % 2 == 1] = pairs[::-1, columns % 2 == 1]
+    certificate = Certificate(cuts[:, columns].T, x[held], pairs, 1.0 / mu)
+    return NormMinimizer(vector=TangentVector(center), norm=best, at_corner=at_corner, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +599,7 @@ def unit_ball_mesh(family: ProcessFamily, resolution: int) -> dict:
     rows = max(1, MESH_ENTRIES // family.dim**2)
     norms = np.concatenate([family.norm(rays[i : i + rows]) for i in range(0, len(rays), rows)])
     samples = rays / norms[:, None]
-    if isinstance(family, PauliZFamily):
-        vertices = np.concatenate([np.eye(n), -np.eye(n)])
-    else:
-        vertices = np.zeros((0, n))
+    vertices = np.concatenate([np.eye(n), -np.eye(n)]) if isinstance(family, PauliZFamily) else np.zeros((0, n))
     return {
         "norm": family.kind,
         "vertices": [list(map(float, v)) for v in vertices],

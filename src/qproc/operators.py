@@ -67,9 +67,11 @@ def _hermitian(a, what: str, dtype=complex, stacked: bool = False) -> np.ndarray
 
 
 def _psd(a: np.ndarray, what: str) -> None:
-    """Refuse a Hermitian matrix, or a stack of them, with an eigenvalue below -PSD_TOL."""
+    """Refuse a Hermitian matrix, or a stack of them, with an eigenvalue below
+    -PSD_TOL, times the largest entry where that exceeds 1: the eigenvalues'
+    rounding scales with the entries."""
     low = np.linalg.eigvalsh(a).min()
-    if low < -PSD_TOL:
+    if low < -PSD_TOL * max(1.0, float(np.abs(a).max())):
         raise InvariantViolation(f"{what} has negative eigenvalue {low:.3e}")
 
 

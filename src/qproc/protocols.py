@@ -1,15 +1,14 @@
 """Explicit measurement protocols saturating the process bound.
 
 Every saturating measurement here reads Schroedinger cats, and
-:func:`_cat_stack` builds every cat branch from two orthonormal vectors
-a, b: prepare (a + b)/sqrt2 and read the conjugate pair (a +/- i b)/sqrt2,
-plus a complement outcome "null" that keeps the POVM complete where the
-pair does not span the space.  Hyperface and hyperedge branches take a, b
-from opposite computational basis states; the corner strategy mixes the
-hyperfaces adjacent to a polytope vertex; the ancilla ("zoo")
-construction spreads one protocol over many faces, its pure and mixed
-variants reading every string's pair in one basis; and the Bloch protocol
-is the two-outcome cat on the eigenvectors of the target-axis spin.
+:func:`_cut_stack` builds every cat branch from a cut and the orthonormal
+pair a, b it came from.  The optimal protocol mixes the cuts of the
+minimizer's dual certificate, for every family.  Hyperface and hyperedge
+branches take a, b from opposite computational basis states; the corner
+strategy mixes the hyperfaces adjacent to a polytope vertex; the ancilla
+("zoo") construction spreads one protocol over many faces, its pure and
+mixed variants reading every string's pair in one basis; and the Bloch
+protocol is the cat on the eigenvectors of the target-axis spin.
 
 A protocol holds its branches as :class:`BranchStack` records, one per
 run of like branches, which the Fisher pass, the sampler and the wire
@@ -31,14 +30,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArgumentError, InvariantViolation, UnsupportedProtocolError
-from .families import (
-    BlochFamily,
-    EpsilonPairFamily,
-    PauliZFamily,
-    ProcessFamily,
-    cross_polytope_decomposition,
-)
+from .errors import ArgumentError, InvariantViolation
+from .families import Certificate, NormMinimizer, ProcessFamily, polytope_certificate, string_states
 from .operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -277,32 +270,28 @@ def _cat_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cats
 
 
-def _string_cats(signs: np.ndarray, ancilla: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`_cat_columns` of |z> and |-z> for each row z of ``signs``
-    (B, n), zero slots read as +1, and their computational indices (2, B):
-    qubit j's bit is 1 where its sign is -1, and with ``ancilla`` a leading
-    qubit records the string's first sign."""
-    n = signs.shape[1]
-    bits = 1 << np.arange(n - 1, -1, -1)
-    indices = np.array([(signs < 0) @ bits, (signs > 0) @ bits])
-    if ancilla:
-        indices += (signs[:, 0] < 0).astype(int) << n
-    pairs = np.zeros((2, len(signs), 2 ** (n + ancilla)))
-    rows = np.arange(len(signs))
-    pairs[0, rows, indices[0]] = pairs[1, rows, indices[1]] = 1.0
-    return _cat_columns(*pairs), indices
-
-
-def _cat_stack(cats: np.ndarray, labels=("+", "-", "null"), **rows) -> BranchStack:
-    """Branches preparing the first of each row's :func:`_cat_columns` and
-    reading the other two; ``rows`` are the stack's other row arrays.
-
-    Every cat branch is built here.  The default third label is the
-    complement outcome "null", I minus the pair's projectors: it never
-    fires for this fiducial but keeps the POVM complete.  A qubit pair
-    spans its space, so the Bloch branch passes ``("+", "-")``.
+def _cut_stack(certificate: Certificate) -> BranchStack:
+    """One cat branch per cut g_i of weight w_i >= WEIGHT_FLOOR: it prepares
+    (t + u)/sqrt2 for the cut's pair t, u and reads (t +/- i u)/sqrt2, with
+    readout form g_i and estimator weight w_i/mu.  The outcome "null", I
+    minus their projectors, keeps the POVM complete; a qubit pair spans its
+    space and needs none.  Sign-string cuts label their branches.  A
+    branch's information matrix is g_i g_i^T at the fiducial, so the
+    mixture has F b = sum_i w_i g_i (g_i.b) = mu norm(b) q where the cuts
+    are tight at b: a dual certificate's kisses the unit ball there.
     """
-    return BranchStack(columns=cats[..., :1], bases=cats[..., 1:], labels=labels, **rows)
+    kept = certificate.weights >= WEIGHT_FLOOR
+    cuts, weights = certificate.cuts[kept], certificate.weights[kept]
+    cats = _cat_columns(*certificate.pairs[:, kept])
+    return BranchStack(
+        weights=weights,
+        columns=cats[..., :1],
+        bases=cats[..., 1:],
+        labels=("+", "-") if cats.shape[1] == 2 else ("+", "-", "null"),
+        readouts=cuts,
+        estimator_weights=weights * certificate.inv_mu,
+        signs=cuts if np.array_equal(cuts, np.sign(cuts)) else None,
+    )
 
 
 def hyperface_protocol(z) -> Protocol:
@@ -331,7 +320,7 @@ def hyperedge_protocol(w) -> Protocol:
     if all(e == 0 for e in w.entries):
         raise ArgumentError("edge string needs at least one nonzero entry")
     signs = np.array([w.entries])
-    stack = _cat_stack(_string_cats(signs)[0], weights=[1.0], readouts=signs, estimator_weights=[1.0], signs=signs)
+    stack = _cut_stack(Certificate(signs, np.ones(1), string_states(signs)[0], 1.0))
     return Protocol(kind="hyperedge", stacks=(stack,), family_dim=2 ** len(w))
 
 
@@ -346,12 +335,7 @@ def corner_protocol(dq: OneForm) -> Protocol:
     the branch strings come back in the original indexing, and the
     estimator weights absorb the overall scale of the target.
     """
-    canonical = canonicalize(dq)
-    strings, weights = cross_polytope_decomposition(canonical.canonical.components)
-    kept = weights >= WEIGHT_FLOOR
-    signs, weights = canonical.embed_signs(strings[kept]), weights[kept]
-    cats = _string_cats(signs)[0]
-    stack = _cat_stack(cats, weights=weights, readouts=signs, estimator_weights=weights * canonical.scale, signs=signs)
+    stack = _cut_stack(polytope_certificate(canonicalize(dq)))
     return Protocol(kind="corner", stacks=(stack,), family_dim=2 ** len(dq))
 
 
@@ -428,14 +412,13 @@ def zoo_protocol(weights, n_params: int | None = None, variant: str = "branched"
     probs = _zoo_distribution(weights, n_params)
     n = probs.size.bit_length() - 1
     signs = np.array(list(product((1, -1), repeat=n)))
-    cats, indices = _string_cats(signs, ancilla=True)
+    states, indices = string_states(signs, ancilla=True)
     if variant == "branched":
-        kept = probs >= WEIGHT_FLOOR
-        p, z = probs[kept], signs[kept]
-        stack = _cat_stack(cats[kept], weights=p, readouts=z, estimator_weights=p, signs=z)
+        stack = _cut_stack(Certificate(signs, probs, states, 1.0))
         return Protocol(kind="zoo", stacks=(stack,), family_dim=2**n)
     if variant not in ("pure", "mixed"):
         raise ArgumentError(f"unknown zoo variant {variant!r}")
+    cats = _cat_columns(*states)
     labels = [f"{_sign_text(z)}:{outcome}" for z in signs for outcome in "+-"]
     basis = np.swapaxes(cats[..., 1:], 0, 1).reshape(2 * len(probs), -1)
     if variant == "pure":
@@ -460,7 +443,7 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     The fiducial is the equal superposition of the +/- eigenstates of
     the target-axis spin; the conjugate superpositions read out the
     rotation angle along that axis, whose coefficient in the target is
-    the Euclidean length of the form.
+    the Euclidean length of the form: the one-cut certificate of the norm.
     """
     q = dq.components
     if q.size != 3:
@@ -469,8 +452,7 @@ def bloch_protocol(dq: OneForm) -> Protocol:
     if length == 0.0:
         raise ArgumentError("cannot build a protocol for the zero form")
     axis = q / length
-    cats = _cat_columns(*np.swapaxes(qubit_basis(axis[None]), 0, 1))
-    stack = _cat_stack(cats, ("+", "-"), weights=[1.0], readouts=axis[None], estimator_weights=[length])
+    stack = _cut_stack(Certificate(axis[None], np.ones(1), np.swapaxes(qubit_basis(axis[None]), 0, 1), length))
     return Protocol(kind="bloch", stacks=(stack,), family_dim=2)
 
 
@@ -568,31 +550,11 @@ def kissing_residual(fisher: FisherMatrix, b: TangentVector, family: ProcessFami
     return float(np.max(np.abs(gap)))
 
 
-def optimal_protocol(family: ProcessFamily, dq: OneForm) -> Protocol:
-    """Saturating protocol for the family/target pair, where one is known.
-
-    Commuting families always admit the corner mixture.  The pair family
-    admits it exactly when the target kisses at a persistent cusp (the
-    second-axis coefficient dominates); its smooth points, and corners of
-    arbitrary custom families, have no constructive recipe here.
-    """
-    if isinstance(family, PauliZFamily):
-        return corner_protocol(dq)
-    if isinstance(family, BlochFamily):
-        return bloch_protocol(dq)
-    if isinstance(family, EpsilonPairFamily):
-        if family.epsilon == 0.0:
-            return corner_protocol(dq)
-        q = dq.components
-        if abs(q[0]) <= abs(q[1]):
-            return corner_protocol(dq)
-        raise UnsupportedProtocolError(
-            "the minimizer sits on a smooth stretch of the pair family's unit "
-            "surface; only its cusp protocols are constructed"
-        )
-    raise UnsupportedProtocolError(
-        f"no constructive saturating protocol for family kind {family.kind!r}"
-    )
+def optimal_protocol(minimizer: NormMinimizer) -> Protocol:
+    """Saturating protocol of any family: the cat readouts of the unit
+    ball's supporting planes at the minimizer, the cuts of its certificate."""
+    certificate = minimizer.certificate
+    return Protocol(kind="optimal", stacks=(_cut_stack(certificate),), family_dim=certificate.pairs.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -171,6 +172,16 @@ class TestLargeGeneratorEntries:
         assert code == 0
         assert payload["norm"] == pytest.approx(norm, rel=rel)
 
+    @pytest.mark.parametrize("entry", [1e13, 1e14, 1e15, 1e16, 1e20, 1e50])
+    def test_right_norm_or_exit_2(self, tmp_path, capsys, entry):
+        # a negative-weight basis of the master LP leaves its round's gap open,
+        # so no scale exits 0 with a norm its certificate does not prove
+        code = main(["bound", write_config(tmp_path, scaled_custom_config("bound-custom-3", entry))])
+        payload = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        if code == 0:
+            assert payload["norm"] == pytest.approx(2.39439959007, rel=1e-9)
+
     @pytest.mark.parametrize("entry", [1e15, 1e50])
     def test_unsolved_scale_exits_2_not_3(self, tmp_path, capsys, entry):
         # at 1e15 the master LP's solves overflow; it once formed reduced
@@ -272,17 +283,23 @@ class TestProtocolCommand:
         assert code == 1
         assert payload["kissing_residual"] == pytest.approx(5e-9)
 
-    def test_unsupported_pair_point(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "schema_version": 1,
-                "family": {"kind": "epsilon-pair", "epsilon": 0.5},
-                "q": [1.0, 0.2],
-                "protocol": {"kind": "corner"},
-            },
-        )
-        assert main(["protocol", config]) == 2
+    def test_corner_at_a_smooth_pair_point_misses(self, tmp_path):
+        # the cross-polytope mixture is built for the pair family's dimension and
+        # misses the kiss at a smooth point; the optimal protocol makes it there
+        config = {
+            "schema_version": 1,
+            "family": {"kind": "epsilon-pair", "epsilon": 0.5},
+            "q": [1.0, 0.2],
+            "protocol": {"kind": "corner"},
+        }
+        code, payload = run_json(tmp_path, "protocol", config)
+        assert code == 1
+        assert payload["protocol"]["kind"] == "corner"
+        assert payload["kissing_residual"] > 0.1
+        code, payload = run_json(tmp_path, "protocol", {**config, "protocol": {"kind": "optimal"}})
+        assert code == 0
+        assert payload["protocol"]["kind"] == "optimal"
+        assert payload["kissing_residual"] < 1e-12
 
 
 class TestSimulateCommand:
@@ -498,6 +515,29 @@ class TestVerifyCommand:
         assert all(payload["checks"].values())
         assert payload["kissing_residual"] > 1e-8
 
+    @pytest.mark.parametrize("perturb", ["weight", "pair"])
+    def test_duality_recomputes_the_certificate(self, tmp_path, monkeypatch, perturb):
+        # duality recomputes every cut from its stored pair; one weight moved by
+        # 1e-6, or one pair swapped for its mirror, no longer proves the norm
+        config = {"schema_version": 1, "family": {"kind": "epsilon-pair", "epsilon": 0.5}, "q": [1.0, 0.3]}
+        code, payload = run_json(tmp_path, "verify", config)
+        assert code == 0 and payload["checks"] == {"duality": True}
+        minimize_norm = cli.minimize_norm
+
+        def perturbed(family, dq):
+            result = minimize_norm(family, dq)
+            cert = result.certificate
+            if perturb == "weight":
+                cert = dataclasses.replace(cert, weights=cert.weights + 1e-6 * np.eye(len(cert.weights))[0])
+            else:
+                cert = dataclasses.replace(cert, pairs=np.concatenate([cert.pairs[::-1, :1], cert.pairs[:, 1:]], axis=1))
+            return dataclasses.replace(result, certificate=cert)
+
+        monkeypatch.setattr(cli, "minimize_norm", perturbed)
+        code, payload = run_json(tmp_path, "verify", config)
+        assert code == 1
+        assert payload["checks"] == {"duality": False}
+
     def test_bound_missed_by_a_small_target_is_not_attained(self, tmp_path):
         # a = [0.5, 0.5] attains 16/15 of the bound; at q ~ 1e-6 the bound
         # is ~1e-12, so an absolute tolerance would pass the 7% excess
@@ -514,6 +554,29 @@ class TestVerifyCommand:
         assert code == 1
         assert payload["attained_variance"] == pytest.approx(16 / 15 * payload["variance_bound"])
         assert payload["checks"]["bound_attained"] is False
+
+
+class TestOptimalOnRandomFamilies:
+    """`verify` with the `optimal` protocol on random custom families: the
+    certificate's cat mixture kisses the unit ball wherever the minimizer
+    lands, smooth or kinked."""
+
+    def test_fifty_families_verify(self, tmp_path):
+        rng = np.random.default_rng([30, 2])
+        for _ in range(50):
+            dim = int(rng.integers(2, 7))
+            n = int(rng.integers(2, min(5, dim * dim - 1) + 1))
+            gens = []
+            for _ in range(n):
+                raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                gens.append(0.5 * (raw + raw.conj().T))
+            q = rng.standard_normal(n)
+            config = {"schema_version": 1, "family": custom_family(gens), "q": q.tolist()}
+            code, bound = run_json(tmp_path, "bound", config)
+            assert code == 0
+            code, payload = run_json(tmp_path, "verify", {**config, "protocol": {"kind": "optimal"}})
+            assert code == 0, payload["checks"]
+            assert payload["kissing_residual"] <= 1e-8 * bound["norm"] ** 2 * np.max(np.abs(q))
 
 
 class TestSchemaHandling:

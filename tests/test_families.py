@@ -15,7 +15,7 @@ from qproc import (
     TangentVector,
     UnboundedVarianceError,
     UnsupportedDimensionError,
-    cross_polytope_decomposition,
+    canonicalize,
     dual_norm,
     minimize_norm,
     pair,
@@ -224,7 +224,7 @@ class TestMinimizeNorm:
         assert result.norm == pytest.approx(1.0)
         assert result.dual_norm == pytest.approx(1.0)
         assert result.at_corner
-        assert result.adjacent_faces == ((1, 1), (1, -1))
+        assert result.adjacent_faces == [[1, 1], [1, -1]]
 
     def test_polytope_face_tie(self):
         result = minimize_norm(PauliZFamily(2), OneForm([1.0, 1.0]))
@@ -255,11 +255,20 @@ class TestMinimizeNorm:
                 assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
 
     def test_pair_cusp(self):
-        result = minimize_norm(EpsilonPairFamily(0.5), OneForm([0.3, 1.0]))
+        family, dq = EpsilonPairFamily(0.5), OneForm([0.3, 1.0])
+        result = minimize_norm(family, dq)
         assert np.allclose(result.vector.components, [0.0, 1.0], atol=1e-9)
         assert result.norm == pytest.approx(1.0, abs=1e-9)
         assert result.at_corner
-        assert result.adjacent_faces == ((1, 1), (-1, 1))
+        # the adjacent faces are the certificate's cuts: the two supporting planes
+        # of the cusp, near (1, 1) and (-1, 1), tight at b_min and mixing to mu q
+        faces = np.array(result.adjacent_faces)
+        cert = result.certificate
+        assert np.array_equal(faces, cert.cuts)
+        assert np.allclose(faces[np.argsort(faces[:, 0])], [[-1.0, 1.0], [1.0, 1.0]], atol=1e-6)
+        assert np.allclose(faces @ result.vector.components, result.norm, rtol=1e-9)
+        assert np.allclose(cert.weights @ cert.cuts, dq.components / cert.inv_mu, rtol=0, atol=1e-12)
+        assert families.check_certificate(family, dq, result)
 
     def test_pair_smooth_side_is_not_a_corner(self):
         result = minimize_norm(EpsilonPairFamily(0.5), OneForm([1.0, 0.05]))
@@ -535,13 +544,62 @@ class TestCertificate:
                 assert result.norm <= grid * (1 + 1e-9)
         assert solved >= 5
 
-    def test_master_lp_refuses_an_infeasible_basis(self):
-        # the start basis weighs the cuts 1.5 and -0.5: every reduced cost is
-        # already nonpositive, so the simplex would stop there, but cut
-        # weights below zero certify no lower bound
+    def test_master_lp_refuses_an_infeasible_basis(self, monkeypatch):
+        # with GAP_TOL = 1 every basis of the master LP closes the gap at once;
+        # cut weights below zero certify no lower bound, so a loop whose every
+        # basis has one leaves each round's gap open until MAX_CUTS runs out
+        family = random_custom_family(np.random.default_rng([30, 1]))
+        dq = OneForm([1.0, -0.5, 0.25])
+        monkeypatch.setattr(families, "GAP_TOL", 1.0)
+        monkeypatch.setattr(families, "MAX_CUTS", 30)
+        assert minimize_norm(family, dq).certificate.weights.min() > 0.0
+        master_dual = families._master_dual
+
+        def negative(columns, costs, basis):
+            basis, x, y = master_dual(columns, costs, basis)
+            x = x.copy()
+            x[np.flatnonzero(columns[0, basis] != 0)[0]] = -0.5
+            return basis, x, y
+
+        monkeypatch.setattr(families, "_master_dual", negative)
+        with pytest.raises(ConvergenceError, match="after 30 rounds"):
+            minimize_norm(family, dq)
+
+    def test_master_lp_repairs_a_negative_basis(self):
+        # the start basis weighs the cuts 1.5 and -0.5 with every reduced cost
+        # nonpositive, where the primal simplex stops; a dual pivot swaps the
+        # negative cut for the third, at weights 0 and 1
+        columns = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 3.0, 0.0]])
+        basis, x, _ = families._master_dual(columns, np.array([-1.0, 0.0, 0.0, -0.1]), np.array([1, 2]))
+        assert basis.tolist() == [1, 3]
+        assert np.allclose(x, [0.0, 1.0], rtol=0, atol=1e-15)
+        # with no column to raise the negative weight, the basis comes back as it is
         columns = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 3.0]])
-        with pytest.raises(ConvergenceError, match="negative weights"):
-            families._master_dual(columns, np.array([-1.0, 0.0, 0.0]), np.array([1, 2]))
+        basis, x, _ = families._master_dual(columns, np.array([-1.0, 0.0, 0.0]), np.array([1, 2]))
+        assert x.tolist() == [1.5, -0.5]
+
+    def test_noise_negative_bases_of_qubit_families(self):
+        # on these seven qubit families an ill-conditioned basis of probe cuts
+        # settled on cut weights that were rounding noise below zero (-5.5e-11
+        # at condition 3e6), and the run was refused; on a qubit the spread is
+        # |A b| for the real 3 x n matrix A_kj = tr(sigma_k X_j), so the
+        # minimum is 1 / sqrt(q^T (A^T A)^-1 q)
+        paulis = (SIGMA_X, np.array([[0, -1j], [1j, 0]]), SIGMA_Z)
+        for rep in (32, 81, 99, 129, 152, 164, 195):
+            rng = np.random.default_rng([30, 3, 2, rep])
+            gens = []
+            for _ in range(3):
+                a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                gens.append(0.5 * (a + a.conj().T))
+            q = rng.standard_normal(3)
+            lift = np.array([[np.trace(g @ s).real for g in gens] for s in paulis])
+            exact = 1.0 / np.sqrt(q @ np.linalg.solve(lift.T @ lift, q))
+            family = ProcessFamily([HermitianOperator(g) for g in gens])
+            result = minimize_norm(family, OneForm(q))
+            assert result.norm == pytest.approx(exact, rel=1e-12)
+            assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+            assert result.certificate.weights.min() > 0.0
+            assert families.check_certificate(family, OneForm(q), result)
 
     def test_degenerate_master_lp_settles(self):
         # the master LP of this kinked family is degenerate, with weights that
@@ -618,14 +676,17 @@ class TestCrossPolytopeDecomposition:
             signs = rng.choice([1.0, -1.0], size=n)
             signs[0] = 1.0
             c = mags * signs
-            strings, weights = cross_polytope_decomposition(c)
+            cert = families.polytope_certificate(canonicalize(OneForm(c)))
+            strings, weights = cert.cuts, cert.weights
+            assert cert.inv_mu == 1.0
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(weights >= -1e-15)
             assert np.allclose(weights @ strings, c, atol=1e-12)
 
     def test_known_five_parameter_weights(self):
         c = np.array([1.0, 4 / 5, 2 / 3, -1 / 2, 1 / 4])
-        strings, weights = cross_polytope_decomposition(c)
+        cert = families.polytope_certificate(canonicalize(OneForm(c)))
+        strings, weights = cert.cuts, cert.weights
         assert np.allclose(weights, [0.625, 0.1, 1 / 15, 1 / 12, 0.125])
         expected_strings = np.array(
             [

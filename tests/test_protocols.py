@@ -18,7 +18,6 @@ from qproc import (
     Protocol,
     SignString,
     TangentVector,
-    UnsupportedProtocolError,
     ZooAmplitudes,
     bloch_protocol,
     born_rule,
@@ -59,16 +58,14 @@ PROTOCOL_GOLDENS = list(_printed_protocols())
 
 
 def _golden_protocol_configs():
-    """(name, family, protocol) for each golden config whose protocol block builds."""
+    """(name, family, protocol) for each golden config with a protocol block;
+    every one builds, whatever the family and the protocol kind."""
     for case in json.loads((GOLDEN / "cases.json").read_text()):
         config = case["config"]
         if "protocol" not in config:
             continue
         family = family_from_config(config)
-        try:
-            yield case["name"], family, protocol_from_config(config, family)
-        except UnsupportedProtocolError:
-            continue
+        yield case["name"], family, protocol_from_config(config, minimize_norm(family, OneForm(config["q"])))
 
 
 GOLDEN_PROTOCOLS = list(_golden_protocol_configs())
@@ -443,7 +440,7 @@ class TestCatBranches:
         # off the fiducial point the pair family rotates the state out of
         # the cat span, and the complement takes the rest of the weight
         family = EpsilonPairFamily(0.7)
-        protocol = optimal_protocol(family, OneForm([0.2, -1.0]))
+        protocol = optimal_protocol(minimize_norm(family, OneForm([0.2, -1.0])))
         branch = protocol.branches[0]
         theta = np.array([0.3, -0.2])
         psi = family.evolve(theta, branch.fiducial.columns())[:, 0]
@@ -604,7 +601,7 @@ class TestProtocolFisher:
     def test_central_matches_closed_form_for_pair_family(self):
         family = EpsilonPairFamily(0.5)
         dq = OneForm([0.3, 1.0])
-        protocol = optimal_protocol(family, dq)
+        protocol = corner_protocol(dq)
         expected = np.array([[1.0, 0.3], [0.3, 1.0]])
         exact = protocol_fisher(protocol, family, derivative="exact")
         central = protocol_fisher(protocol, family, derivative="central")
@@ -714,32 +711,47 @@ class TestKissingResidual:
             )
 
 
+def assert_kisses(family, dq: OneForm) -> Protocol:
+    """The optimal protocol of the minimizer kisses the unit ball within
+    1e-8 ||b||^2 max_j |q_j|, as `verify` asks, and reproduces the target."""
+    result = minimize_norm(family, dq)
+    protocol = optimal_protocol(result)
+    residual = kissing_residual(protocol_fisher(protocol, family), result.vector, family, dq)
+    assert residual <= 1e-8 * result.norm**2 * np.max(np.abs(dq.components))
+    target = sum(s.estimator_weights @ s.readouts for s in protocol.stacks)
+    assert np.allclose(target, dq.components, rtol=0.0, atol=1e-12 * np.max(np.abs(dq.components)))
+    return protocol
+
+
 class TestOptimalProtocolDispatch:
+    """One construction for every family: the minimizer's certificate."""
+
     def test_commuting_family(self):
-        protocol = optimal_protocol(PauliZFamily(2), OneForm([1.0, 0.5]))
-        assert protocol.kind == "corner"
+        dq = OneForm([1.0, -0.5, 0.0, 0.25])
+        protocol = assert_kisses(PauliZFamily(4), dq)
+        corner = corner_protocol(dq)
+        assert protocol.kind == "optimal"
+        assert protocol.family_dim == corner.family_dim and len(protocol.stacks) == len(corner.stacks) == 1
+        mine, theirs = protocol.stacks[0], corner.stacks[0]
+        assert mine.labels == theirs.labels
+        for name in ("weights", "columns", "bases", "readouts", "estimator_weights", "signs"):
+            assert np.array_equal(getattr(mine, name), getattr(theirs, name)), name
 
     def test_bloch_family(self):
-        protocol = optimal_protocol(BlochFamily(), OneForm([1.0, 0.0, 0.0]))
-        assert protocol.kind == "bloch"
+        assert assert_kisses(BlochFamily(), OneForm([1.0, 0.0, 0.0])).kind == "optimal"
+        assert_kisses(BlochFamily(), OneForm([0.3, -0.4, 1.2]))
 
     def test_pair_cusp(self):
-        protocol = optimal_protocol(EpsilonPairFamily(0.7), OneForm([0.2, -1.0]))
-        family = EpsilonPairFamily(0.7)
-        fisher = protocol_fisher(protocol, family)
-        result = minimize_norm(family, OneForm([0.2, -1.0]))
-        assert kissing_residual(fisher, result.vector, family, OneForm([0.2, -1.0])) < 1e-9
+        protocol = assert_kisses(EpsilonPairFamily(0.7), OneForm([0.2, -1.0]))
+        assert len(protocol.branches) >= 2
 
-    def test_pair_smooth_point_unsupported(self):
-        with pytest.raises(UnsupportedProtocolError):
-            optimal_protocol(EpsilonPairFamily(0.5), OneForm([1.0, 0.2]))
+    def test_pair_smooth_point_kisses(self):
+        assert_kisses(EpsilonPairFamily(0.5), OneForm([1.0, 0.2]))
+        assert_kisses(EpsilonPairFamily(0.3), OneForm([1.0, 0.5]))
 
-    def test_custom_family_unsupported(self, rng):
-        from qproc import ProcessFamily
-
+    def test_custom_family_kisses(self, rng):
         family = ProcessFamily([random_traceless_hermitian(rng, 4) for _ in range(2)])
-        with pytest.raises(UnsupportedProtocolError):
-            optimal_protocol(family, OneForm([1.0, 0.5]))
+        assert_kisses(family, OneForm([1.0, 0.5]))
 
 
 class TestSerialization:
@@ -807,7 +819,7 @@ class TestWireRoundTrip:
         family = family_from_config(case["config"])
         rebuilt = _protocol_from_dict(golden["protocol"])
         assert protocol_fisher(rebuilt, family).entries.tolist() == golden["fisher"]
-        in_memory = protocol_from_config(case["config"], family)
+        in_memory = protocol_from_config(case["config"], minimize_norm(family, OneForm(case["config"]["q"])))
         assert len(rebuilt.branches) == len(in_memory.branches)
         for mine, theirs in zip(rebuilt.branches, in_memory.branches):
             assert mine.measurement.labels == theirs.measurement.labels

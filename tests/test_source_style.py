@@ -130,3 +130,23 @@ def test_every_definition_is_read():
     assert not unread, f"defined under src/qproc but never read: {unread}"
     stale = [name for name in kept if read.get(name, True)]
     assert not stale, f"UNREAD_ON_PURPOSE lists names that are read or no longer defined: {stale}"
+
+
+FAMILY_CLASSES = {"ProcessFamily", "PauliZFamily", "BlochFamily", "EpsilonPairFamily"}
+
+
+def test_no_family_type_test_outside_families():
+    # bounds and protocols come from the minimizer's certificate, for every family
+    # alike; only families.py, whose polytope path and mesh vertices stay, may ask
+    # which family it holds
+    found = []
+    for path in sorted((SRC / "qproc").glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                names = {c.id if isinstance(c, ast.Name) else getattr(c, "attr", None) for c in classes}
+                if names & FAMILY_CLASSES:
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"family isinstance tests outside families.py: {found}"

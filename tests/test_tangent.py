@@ -194,6 +194,14 @@ class TestFisherMatrixValidation:
     def test_degenerate_allowed(self):
         FisherMatrix(np.ones((3, 3)))
 
+    def test_tolerance_scales_with_the_entries(self):
+        # generators of size 1e3 give entries of 1e6, whose eigenvalues round by ~1e-9
+        FisherMatrix(1e6 * np.ones((2, 2)) - 1e-9 * np.eye(2))
+        with pytest.raises(InvariantViolation):
+            FisherMatrix(1e6 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(InvariantViolation):
+            FisherMatrix(np.ones((2, 2)) - 1e-9 * np.eye(2))
+
     @pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
     def test_bad_shape_rejected(self, shape):
         # refused before the Hermiticity test, whose max has no value on an empty matrix
