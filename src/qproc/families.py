@@ -28,14 +28,14 @@ from .qfisher import bloch_direction_grid
 from .tangent import CanonicalForm, OneForm, TangentVector, canonicalize, pair
 
 # Cutting planes stop once the best norm is within GAP_TOL (relative) of
-# the certified lower bound; a certificate cut whose plane part exceeds
-# KINK_TOL of the norm of its direction marks a kink.  Newton points need
-# end eigenvalues split by more than SIMPLE_TOL of the spread, and bring
-# probes once they promise a fall of less than PROBE_TOL of it.
+# the certified lower bound; one cut proves it alone where it is parallel
+# to q within ALIGN_TOL of each generator's Frobenius norm.  Newton points
+# need end eigenvalues split by more than SIMPLE_TOL of the spread; at most
+# POLISH_STEPS of them may promise a fall below GAP_TOL of it.
 GAP_TOL = 1e-12
-KINK_TOL = 1e-2
 SIMPLE_TOL = 1e-9
-PROBE_TOL = 1e-8
+POLISH_STEPS = 3
+ALIGN_TOL = 1e-12
 MAX_CUTS = 1000
 MAX_PIVOTS = 10000
 PIVOT_TOL = 1e-14
@@ -284,17 +284,20 @@ class NormMinimizer:
     """Shortest direction advancing one unit of the target, and the bound.
 
     ``dual_norm`` squared is the attainable variance bound per
-    interaction; ``at_corner`` flags a kink of the unit surface at the
-    minimizer, where saturating measurements must be mixed
-    probabilistically.  The ``certificate``, never printed, proves norm(b)
-    >= norm - gap for every b with q.b = 1 (gap 0.0 on the polytope path),
-    and its cuts at a kink are the ``adjacent_faces``.
+    interaction.  The ``certificate``, never printed, proves norm(b) >=
+    norm - gap for every b with q.b = 1 (gap 0.0 on the polytope path).
+    ``at_corner`` holds where it needs more than one cut: a kink of the
+    unit surface, where saturating measurements must be mixed
+    probabilistically, and its cuts there are the ``adjacent_faces``.
     """
 
     vector: TangentVector
     norm: float
-    at_corner: bool
     certificate: Certificate
+
+    @property
+    def at_corner(self) -> bool:
+        return len(self.certificate.weights) > 1
 
     @property
     def dual_norm(self) -> float:
@@ -325,7 +328,7 @@ def minimize_norm(family: ProcessFamily, dq: OneForm) -> NormMinimizer:
     (relative) of the lower bound its certificate proves.
     UnboundedVarianceError flags a target the process cannot see;
     ConvergenceError a singular or non-finite solve or, carrying the best
-    point as ``best``, a gap that MAX_CUTS rounds of cuts leave open.
+    point as ``best``, a gap left open by MAX_CUTS rounds or a repeated point.
     """
     q = dq.components
     if q.size != family.n_params:
@@ -350,8 +353,7 @@ def _polytope_minimizer(q: np.ndarray) -> NormMinimizer:
     canonical = canonicalize(OneForm(q))
     vec = np.zeros(q.size)
     vec[canonical.permutation[0]] = canonical.sign / canonical.scale
-    corner = bool(np.any(np.abs(np.abs(canonical.canonical.components) - 1.0) > 1e-12))
-    return NormMinimizer(TangentVector(vec), 1.0 / canonical.scale, corner, polytope_certificate(canonical))
+    return NormMinimizer(TangentVector(vec), 1.0 / canonical.scale, polytope_certificate(canonical))
 
 
 def dual_norm(family: ProcessFamily, dq: OneForm) -> float:
@@ -391,60 +393,48 @@ def _visible_plane(stack: np.ndarray, scale: np.ndarray, q: np.ndarray) -> np.nd
     return vt[1 + unseen.shape[1] :].T
 
 
-def _cuts(stack: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The norms at the rows b of points and their cuts g_j = <top|X_j|top> -
-    <bottom|X_j|bottom>, each with g.b' <= norm(b') for every b', equality at
-    its b; then the eigenvalues and eigenvectors of one batched eigen-solve,
-    and the (top, bottom) columns (P, dim, 2) of each cut."""
-    n, dim = stack.shape[:2]
-    eigs, vecs = np.linalg.eigh((points @ stack.reshape(n, -1)).reshape(-1, dim, dim))
-    ends = vecs[..., [-1, 0]]
-    expect = np.einsum("pak,jab,pbk->pjk", ends.conj(), stack, ends).real
-    return eigs[:, -1] - eigs[:, 0], expect[..., 0] - expect[..., 1], eigs, vecs, ends
+def _cut(stack: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The norm at b and its cut g_j = <top|X_j|top> - <bottom|X_j|bottom>,
+    with g.b' <= norm(b') for every b', equality at b; then the spectrum of
+    b^j X_j, the rows <end|X_j|v> (n, 2, dim) of its ends (top, bottom)
+    against every eigenvector v, and the end columns (dim, 2)."""
+    eigs, vecs = np.linalg.eigh((b @ stack.reshape(b.size, -1)).reshape(stack.shape[1:]))
+    ends = vecs[:, [-1, 0]]
+    rows = ends.conj().T @ stack @ vecs
+    return float(eigs[-1] - eigs[0]), rows[:, 0, -1].real - rows[:, 1, 0].real, eigs, rows, ends
 
 
-def _newton_points(
-    stack: np.ndarray, step: np.ndarray, center: np.ndarray, g: np.ndarray, eigs: np.ndarray, vecs: np.ndarray
-) -> np.ndarray | None:
-    """The minimizer of the spread's quadratic model on the plane about
-    center, where g and (eigs, vecs) are the cut and spectrum there.
+def _newton_point(step: np.ndarray, plane_gram: np.ndarray, g: np.ndarray, eigs: np.ndarray, rows: np.ndarray):
+    """The step d on the plane to the minimizer of the spread's quadratic
+    model at a point with cut g, spectrum eigs and rows <end|X_j|v>, and
+    the fall it promises; None where the model is refused.
 
     The model holds where the top and bottom eigenvalues are simple:
     second-order perturbation theory gives the Hessian
     H_ab = 2 Re sum_m <t|X_a|m><m|X_b|t> / (l_t - l_m) for the top t,
-    plus the mirrored sum for the bottom.  It is refused (None) unless
-    step^T H step is positive definite, its solve regular, and the Newton
-    step moves b^j X_j, in Frobenius norm, by less than the gap between an
-    end eigenvalue and its neighbour (an overflowing move is refused).  Once the step promises less than PROBE_TOL of
-    the norm, the 2k probes d +- h L^-T e_i join it, with L L^T the
-    curvature on the plane and h^2 = GAP_TOL norm / 2: their cuts
-    surround the minimizer, so the LP's weights can close the gap from
-    cuts that each lose at most a quarter of GAP_TOL.
+    plus the mirrored sum for the bottom.  It is refused unless step^T H
+    step is positive definite, its solve regular, and the step moves
+    b^j X_j, in Frobenius norm sqrt(d^T plane_gram d), by less than the gap
+    between an end eigenvalue and its neighbour (an overflowing move is
+    refused).
     """
-    spread = eigs[-1] - eigs[0]
     above, below = eigs[-1] - eigs[:-1], eigs[1:] - eigs[0]
     split = min(above[-1], below[0])
-    if split <= SIMPLE_TOL * spread:
+    if split <= SIMPLE_TOL * (eigs[-1] - eigs[0]):
         return None
-    rows = vecs[:, [-1, 0]].conj().T @ stack @ vecs
     top, bottom = rows[:, 0, :-1], rows[:, 1, 1:]
     hessian = 2.0 * ((top / above) @ top.conj().T + (bottom / below) @ bottom.conj().T).real
     curvature = step.T @ hessian @ step
     grad = step.T @ g
     try:
-        chol = np.linalg.cholesky(curvature)
+        np.linalg.cholesky(curvature)
         d = -np.linalg.solve(curvature, grad)
-        with np.errstate(over="ignore", invalid="ignore"):
-            move = np.linalg.norm(np.tensordot(step @ d, stack, axes=1))
-        if not move <= split:
-            return None
-        shifts = d[None]
-        if -0.5 * grad @ d <= PROBE_TOL * spread:
-            offsets = np.sqrt(0.5 * GAP_TOL * spread) * np.linalg.inv(chol)
-            shifts = np.vstack([d, d + offsets, d - offsets])
     except np.linalg.LinAlgError:
         return None
-    return center + shifts @ step.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not d @ plane_gram @ d <= split**2:
+            return None
+    return d, -0.5 * grad @ d
 
 
 def _master_dual(columns: np.ndarray, costs: np.ndarray, basis: np.ndarray):
@@ -502,49 +492,63 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
     """Cutting planes on the visible plane, with a dual certificate.
 
     The oracle works on the family's traceless stack, whose combinations
-    have the same spread and eigenvectors as b^j X_j, one batch of points
-    per round.  Points are b = center + step @ t, with center the best
-    point so far and step the visible plane scaled by 1/|q|.  The first,
-    base, minimizes over the plane the Hilbert-Schmidt norm |b^j T_j|_F,
-    which bounds the spread above and below.  Each point adds the cut g
-    and its mirror -g as columns (1, step^T g) with cost g.center to the
-    master LP, solved in its dual form with every cut scaled by the best
-    norm.  Taking costs at the best point rather than at base keeps steep
-    cuts from cancelling digits.  The first 2k columns +-e_i with cost
-    -radius bound the box |t_i| <= radius, which keeps the LP bounded;
-    radius grows tenfold while the box carries weight.  With no weight on
-    the box, and none below zero on a cut, the LP value mu is certified:
-    sum_i w_i g_i = mu q.  The loop stops when the best norm seen is within
-    GAP_TOL of mu; the positive-weight cuts, with their pairs, are the
-    result's certificate.
+    have the same spread and eigenvectors as b^j X_j, one point per round.
+    Points are b = center + step @ t, with center the best point so far
+    and step the visible plane scaled by 1/|q|.  The first, base,
+    minimizes over the plane the Hilbert-Schmidt norm |b^j T_j|_F, which
+    bounds the spread above and below.
 
-    The next points come from ``_newton_points`` while the last ones
-    improved on the best and its quadratic model holds; otherwise the
-    next point is Kelley's, the LP's minimizer -y.  A lone Newton point
-    promises a fall above PROBE_TOL of the norm, so the gap is open and
-    the LP waits; it runs for Kelley points, probes and the last round.
+    Where the unit surface is smooth, one cut proves the bound.  A point
+    whose cut g is mu q, with mu = g.b its norm as the cut sums it, within
+    ALIGN_TOL of each |T_j|_F, returns at once with that cut alone, of
+    weight 1, and no LP is solved.  The points that reach it are Newton's
+    (``_newton_point``), taken while each improves on the best and its
+    quadratic model holds; at most POLISH_STEPS of them may promise a
+    fall below GAP_TOL of the norm.
+
+    Everywhere else (at kinks, far from the minimum, and once the polish
+    is spent) the next point is Kelley's, the minimizer -y of the master
+    LP.  Each point adds its cut g and the mirror -g as columns (1,
+    step^T g) with cost g.center to that LP, solved in its dual form with
+    every cut scaled by the best norm.  Taking costs at the best point
+    rather than at base keeps steep cuts from cancelling digits.  The
+    first 2k columns +-e_i with cost -radius bound the box |t_i| <=
+    radius, which keeps the LP bounded; radius grows tenfold while the box
+    carries weight.  With no weight on the box, and none below zero on a
+    cut, the LP value mu is certified: sum_i w_i g_i = mu q.  The loop
+    stops when the best norm seen is within GAP_TOL of mu, and the
+    positive-weight cuts, with their pairs, are the certificate.  A Kelley
+    point already cut, to rounding, adds a cut that cannot move the LP, so
+    ConvergenceError reports the open gap at once.
     """
     stack = family._stack
     flat = stack.reshape(q.size, -1)
-    # Frobenius norms of the full generators: T_j is orthogonal to I
-    scale = np.hypot(np.linalg.norm(flat, axis=1), np.sqrt(family.dim) * np.abs(family._shift))
+    # Frobenius norms of the traceless and, as T_j is orthogonal to I, of the full generators
+    norms = np.linalg.norm(flat, axis=1)
+    scale = np.hypot(norms, np.sqrt(family.dim) * np.abs(family._shift))
     step = _visible_plane(stack, scale, q) / np.linalg.norm(q)
     gram = step.T @ (flat.conj() @ flat.T).real  # S^T G with G_ij = Re tr(T_i T_j)
-    base = (q - step @ np.linalg.lstsq(gram @ step, gram @ q, rcond=None)[0]) / (q @ q)
+    plane_gram = gram @ step
+    base = (q - step @ np.linalg.lstsq(plane_gram, gram @ q, rcond=None)[0]) / (q @ q)
     k = step.shape[1]
     box = np.vstack([np.zeros(2 * k), np.hstack([np.eye(k), -np.eye(k)])])
-    cuts, ends = np.zeros((q.size, 0)), []
-    radius, best, center, points, basis = 1.0, np.inf, base, base[None], None
+    cuts, ends, tried = np.zeros((q.size, 0)), [], np.zeros((0, q.size))
+    radius, best, center, point, basis, polish = 1.0, np.inf, base, base, None, 0
     for rounds in range(MAX_CUTS):
-        values, g, eigs, vecs, pair_ends = _cuts(stack, points)
-        cuts = np.hstack([cuts, np.stack([g, -g], axis=1).reshape(-1, q.size).T])
-        ends.append(pair_ends)
-        i, model = np.argmin(values), None
-        if values[i] < best:
-            best, center, model = float(values[i]), points[i], (g[i], eigs[i], vecs[i])
-        newton = _newton_points(stack, step, center, *model) if model else None
-        if newton is not None and len(newton) == 1 and rounds < MAX_CUTS - 1:
-            points = newton
+        value, g, eigs, rows, pair = _cut(stack, point)
+        cuts = np.hstack([cuts, g[:, None], -g[:, None]])
+        ends.append(pair)
+        tried = np.vstack([tried, point])
+        mu, newton = g @ point, None
+        if np.all(np.abs(g - mu * q) <= ALIGN_TOL * norms) and value - mu <= GAP_TOL * value:
+            certificate = Certificate(g[None], np.ones(1), pair.T[:, None], 1.0 / mu)
+            return NormMinimizer(TangentVector(point), value, certificate)
+        if value < best:
+            best, center = value, point
+            newton = _newton_point(step, plane_gram, g, eigs, rows)
+        if newton is not None and polish < POLISH_STEPS and rounds < MAX_CUTS - 1:
+            polish += newton[1] <= GAP_TOL * best
+            point = center + step @ newton[0]
             continue
         if basis is None:  # column 2k is base's cut, so the basis is feasible
             basis = np.concatenate([[2 * k], np.where(step.T @ cuts[:, 0] > 0, k, 0) + np.arange(k)])
@@ -559,25 +563,20 @@ def _numeric_minimizer(family: ProcessFamily, q: np.ndarray) -> NormMinimizer:
             break
         if boxed:
             radius *= 10.0
-        points = (center - step @ y[1:])[None] if newton is None else newton
-    else:
-        raise ConvergenceError(
-            f"cutting planes left a gap of {best - mu:.3e} after {MAX_CUTS} rounds of cuts",
-            best=TangentVector(center),
-        )
-    # A kink shows as a certificate cut g whose part along the plane, a =
-    # step^T g, is not negligible next to the norm of that direction:
-    # g.(step a) = |a|^2 against norm(step a).  At a smooth minimum every
-    # certificate cut comes from a point where that part nearly vanishes.
+        point = center - step @ y[1:]
+        stalled = np.min(np.abs(tried - point) @ norms) <= PIVOT_TOL * np.abs(point) @ norms
+        if stalled or rounds == MAX_CUTS - 1:
+            raise ConvergenceError(
+                f"cutting planes left a gap of {best - mu:.3e} after {rounds + 1} rounds of cuts"
+                + ("; the next point repeats one already cut" if stalled else ""),
+                best=TangentVector(center),
+            )
     held &= x > PIVOT_TOL
     columns = basis[held] - 2 * k
-    plane_parts = step.T @ cuts[:, columns]
-    at_corner = bool(np.any(np.sum(plane_parts**2, axis=0) > KINK_TOL * _cuts(stack, (step @ plane_parts).T)[0]))
     # column 2p holds point p's cut from (top, bottom), column 2p + 1 its mirror from (bottom, top)
-    pairs = np.moveaxis(np.concatenate(ends)[columns // 2], -1, 0)
+    pairs = np.moveaxis(np.array(ends)[columns // 2], -1, 0)
     pairs[:, columns % 2 == 1] = pairs[::-1, columns % 2 == 1]
-    certificate = Certificate(cuts[:, columns].T, x[held], pairs, 1.0 / mu)
-    return NormMinimizer(vector=TangentVector(center), norm=best, at_corner=at_corner, certificate=certificate)
+    return NormMinimizer(TangentVector(center), best, Certificate(cuts[:, columns].T, x[held], pairs, 1.0 / mu))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,10 @@ def sample_estimates(
     """
     if repetitions < 1:
         raise ArgumentError("need at least one repetition")
+    per_branch = apportion_shots(protocol.weights, shots)
+    if np.any(per_branch < 1):
+        least = float(protocol.weights.min())
+        raise EstimationError(f"the least branch weight {least:.3e} needs {np.ceil(1 / least):.0f} shots, not {shots}")
     theta = np.asarray(theta_true, dtype=float).reshape(-1)
     if theta.size != family.n_params:
         raise ArgumentError("theta_true length does not match the family")
@@ -87,9 +91,6 @@ def sample_estimates(
             stacklevel=2,
         )
     stacks = protocol.stacks
-    per_branch = apportion_shots(protocol.weights, shots)
-    if np.any(per_branch < 1):
-        raise EstimationError("a weighted branch received no shots; increase the shot budget")
     if any(stack.readouts is None or stack.estimator_weights is None for stack in stacks):
         raise EstimationError("every branch needs a readout to run the estimator")
     p_plus = np.concatenate([branch_distribution(s, family, theta)[:, s.labels.index("+")] for s in stacks])

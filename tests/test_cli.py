@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qproc import cli
+from qproc import cli, families
 from qproc.cli import main
 from qproc.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_z_generators
 
@@ -181,6 +181,23 @@ class TestLargeGeneratorEntries:
         assert code in (0, 2)
         if code == 0:
             assert payload["norm"] == pytest.approx(2.39439959007, rel=1e-9)
+
+    @pytest.mark.parametrize("entry", [1e15, 1e16, 1e20])
+    def test_stalled_cutting_planes_exit_at_once(self, tmp_path, capsys, monkeypatch, entry):
+        # at these scales the Kelley points repeat points already cut, whose
+        # duplicate cuts cannot move the master LP; all 1,000 rounds once ran
+        cuts, cut = [0], families._cut
+
+        def counted(*args):
+            cuts[0] += 1
+            return cut(*args)
+
+        monkeypatch.setattr(families, "_cut", counted)
+        code = main(["bound", write_config(tmp_path, scaled_custom_config("bound-custom-3", entry))])
+        error = json.loads(capsys.readouterr().out)
+        assert code == 2 and error["error"] == "ConvergenceError"
+        assert error["message"].endswith("; the next point repeats one already cut")
+        assert cuts[0] <= 20
 
     @pytest.mark.parametrize("entry", [1e15, 1e50])
     def test_unsolved_scale_exits_2_not_3(self, tmp_path, capsys, entry):
@@ -368,6 +385,16 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exit_info:
             main([command, config, flag, "0"])
         assert exit_info.value.code == 2
+
+    def test_starved_kink_branch_is_refused_by_name(self, tmp_path, capsys):
+        # q = [1, 0.999999] sits at a vertex whose second face has weight 5e-7:
+        # 2,000 shots leave it none, and the refusal names the budget it needs
+        config = {**PASSING_SIM, "q": [1.0, 0.999999], "protocol": {"kind": "optimal"}}
+        config["simulate"] = {**PASSING_SIM["simulate"], "shots": 2000}
+        assert main(["simulate", write_config(tmp_path, config)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["error"] == "EstimationError"
+        assert error["message"] == "the least branch weight 5.000e-07 needs 2000000 shots, not 2000"
 
     def test_mean_unbiased_at_fiducial(self, tmp_path):
         code, payload = run_json(tmp_path, "simulate", PASSING_SIM)
@@ -563,6 +590,7 @@ class TestOptimalOnRandomFamilies:
 
     def test_fifty_families_verify(self, tmp_path):
         rng = np.random.default_rng([30, 2])
+        simulated = 0
         for _ in range(50):
             dim = int(rng.integers(2, 7))
             n = int(rng.integers(2, min(5, dim * dim - 1) + 1))
@@ -577,6 +605,13 @@ class TestOptimalOnRandomFamilies:
             code, payload = run_json(tmp_path, "verify", {**config, "protocol": {"kind": "optimal"}})
             assert code == 0, payload["checks"]
             assert payload["kissing_residual"] <= 1e-8 * bound["norm"] ** 2 * np.max(np.abs(q))
+            if simulated < 4 and not bound["at_corner"]:
+                # the one-branch protocol of a smooth minimum runs at 2,000 shots
+                simulate = {"shots": 2000, "repetitions": 200, "seed": 3}
+                code, payload = run_json(tmp_path, "simulate", {**config, "protocol": {"kind": "optimal"}, "simulate": simulate})
+                assert code == 0, payload
+                simulated += 1
+        assert simulated == 4
 
 
 class TestSchemaHandling:

@@ -424,7 +424,8 @@ class TestWork:
     def test_custom_bound_problem(self, monkeypatch):
         # three dense dim-4 generators and q, drawn as the custom-bound
         # benchmark draws them; plain Kelley cutting planes took 56 solves,
-        # and Newton points from q / |q|^2, with an LP every round, 16 and 9 LPs
+        # Newton points with probes and two master LPs 12, and Newton points
+        # polished until one cut is parallel to q take 6 and no LP
         rng = np.random.default_rng(1)
         gens = []
         for _ in range(3):
@@ -439,11 +440,13 @@ class TestWork:
             return master_dual(*args)
 
         monkeypatch.setattr(families, "_master_dual", counted_lp)
-        result = minimize_norm(ProcessFamily(gens), OneForm(q))
-        assert count[0] <= 12
-        assert lps[0] <= 3
+        family = ProcessFamily(gens)
+        result = minimize_norm(family, OneForm(q))
+        assert count[0] <= 6
+        assert lps[0] == 0
         assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
         assert not result.at_corner
+        assert families.check_certificate(family, OneForm(q), result)
 
     def test_smooth_random_families(self, monkeypatch):
         # end eigenvalues of complex Hermitian matrices cross in codimension
@@ -547,9 +550,12 @@ class TestCertificate:
     def test_master_lp_refuses_an_infeasible_basis(self, monkeypatch):
         # with GAP_TOL = 1 every basis of the master LP closes the gap at once;
         # cut weights below zero certify no lower bound, so a loop whose every
-        # basis has one leaves each round's gap open until MAX_CUTS runs out
-        family = random_custom_family(np.random.default_rng([30, 1]))
-        dq = OneForm([1.0, -0.5, 0.25])
+        # basis has one leaves each round's gap open until MAX_CUTS runs out.
+        # The minimum of this 12-parameter family is a corner, where no single
+        # cut proves the bound, so every round past the first reaches the LP.
+        rng = np.random.default_rng([5, 12, 4, 2])
+        family, _ = _random_family(rng, "dense", 12, 4)
+        dq = OneForm(rng.standard_normal(12))
         monkeypatch.setattr(families, "GAP_TOL", 1.0)
         monkeypatch.setattr(families, "MAX_CUTS", 30)
         assert minimize_norm(family, dq).certificate.weights.min() > 0.0
@@ -612,6 +618,46 @@ class TestCertificate:
         assert result.norm == pytest.approx(0.2036688145627, rel=1e-11)
         assert result.at_corner
         assert 0.0 <= result.gap <= families.GAP_TOL * result.norm
+
+
+class TestAtCorner:
+    """``at_corner`` holds exactly when the certificate needs more than one
+    cut, and the closed forms say where that is: the Bloch ball has no kink,
+    the epsilon-pair norm |b_1| + sqrt(b_2^2 + 2 eps b_1^2) has its cusps on
+    b_1 = 0, the minimum for |q_1| < |q_2|, and the cross-polytope's vertex
+    is a corner unless every nonzero |c_k| = 1."""
+
+    def test_bloch_is_never_a_corner(self):
+        rng = np.random.default_rng([31, 0])
+        for _ in range(10):
+            result = minimize_norm(BlochFamily(), OneForm(rng.standard_normal(3)))
+            assert not result.at_corner
+            assert len(result.certificate.weights) == 1
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5, 2.0])
+    def test_pair_cusps_always_are(self, eps):
+        rng = np.random.default_rng([31, 1])
+        for s, sign in zip(rng.uniform(-0.9, 0.9, 5), rng.choice([-1.0, 1.0], 5)):
+            cusp = minimize_norm(EpsilonPairFamily(eps), OneForm([s, sign]))
+            assert cusp.at_corner and len(cusp.certificate.weights) > 1
+            assert abs(cusp.vector.components[0]) <= 1e-9
+            assert not minimize_norm(EpsilonPairFamily(eps), OneForm([sign, s])).at_corner
+
+    def test_pauli_z_exactly_when_some_coefficient_is_not_extreme(self):
+        rng = np.random.default_rng([31, 2])
+        seen = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            kind = rng.choice(3, n, p=[0.5, 0.2, 0.3])  # the largest |q_k|, zero, or below it
+            mags = np.where(kind == 0, 2.5, np.where(kind == 1, 0.0, 2.5 * rng.uniform(0.05, 0.95, n)))
+            mags[rng.integers(n)] = 2.5
+            q = rng.choice([-1.0, 1.0], n) * mags
+            expected = bool(np.any((mags > 0) & (mags < 2.5)))
+            result = minimize_norm(PauliZFamily(n), OneForm(q))
+            assert result.at_corner == expected, q
+            assert (len(result.certificate.weights) > 1) == expected
+            seen.add(expected)
+        assert seen == {False, True}
 
 
 class TestDualNorm:

@@ -753,6 +753,23 @@ class TestOptimalProtocolDispatch:
         family = ProcessFamily([random_traceless_hermitian(rng, 4) for _ in range(2)])
         assert_kisses(family, OneForm([1.0, 0.5]))
 
+    def test_smooth_minima_have_one_branch(self):
+        # where the unit surface is smooth one cut certifies the bound, and
+        # its protocol is one cat branch of weight 1
+        rng = np.random.default_rng([31, 3])
+        cases = [(BlochFamily(), rng.standard_normal(3)), (EpsilonPairFamily(0.5), [1.0, 0.3])]
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            n = int(rng.integers(2, min(4, dim * dim - 1) + 1))
+            cases.append((ProcessFamily([random_traceless_hermitian(rng, dim) for _ in range(n)]), rng.standard_normal(n)))
+        smooth = 0
+        for family, q in cases:
+            result = minimize_norm(family, OneForm(q))
+            if not result.at_corner:
+                smooth += 1
+                assert optimal_protocol(result).weights.tolist() == [1.0]
+        assert smooth >= 20
+
 
 class TestSerialization:
     def test_round_trip_keys(self):
